@@ -236,9 +236,6 @@ def build_parser():
                    choices=["auto", "brute", "structural", "formula"])
     p.add_argument("--full-search", action="store_true",
                    help="brute search from size 0 (no sandwich shortcut)")
-    p.add_argument("--canonical", action="store_true",
-                   help="lexicographically smallest basis (already the "
-                        "default tie-break; kept for interface stability)")
     p.set_defaults(func=cmd_dimi)
 
     p = sub.add_parser("dimi-formula", help="closed-formula dimension")
@@ -311,6 +308,11 @@ def main(argv=None):
         report = args.func(args)
     except (ValueError, OSError, packing.WitnessCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # The exact searches recurse once per branching vertex.
+        print("error: graph exceeds the exact search's recursion depth "
+              f"(limit {sys.getrecursionlimit()})", file=sys.stderr)
         return 2
     _emit(report, args.json)
     failed = any(not ok for _, ok, _ in report.get("checks", []))

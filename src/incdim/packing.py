@@ -5,6 +5,12 @@ greater than 2, equivalently an independent set of the distance-2
 conflict graph.  The solver is a deterministic include-first
 branch-and-bound over vertices in ascending order, so the reported
 witness is always the lexicographically smallest maximum set.
+
+At every node the bound is a greedy clique cover of the conflict graph
+restricted to the remaining candidates, recomputed for that node (the
+colouring bound of MCQ/BBMC max-clique solvers, applied to the
+complement).  It prunes only subtrees that cannot beat the incumbent,
+so it changes no witness and no enumeration order.
 """
 from __future__ import annotations
 
@@ -59,24 +65,27 @@ def _mask_to_set(mask):
     return frozenset(out)
 
 
-def _clique_cover(balls, n):
-    """Greedy clique cover of the conflict graph; each clique yields at
-    most one vertex of any packing, giving an admissible search bound."""
-    unassigned = (1 << n) - 1
-    cliques = []
-    while unassigned:
-        v = (unassigned & -unassigned).bit_length() - 1
-        clique = 1 << v
-        cand = balls[v] & unassigned & ~clique
-        while cand:
-            low = cand & -cand
-            u = low.bit_length() - 1
-            clique |= low
-            cand &= balls[u]
-            cand &= ~low
-        unassigned &= ~clique
-        cliques.append(clique)
-    return cliques
+def _cover_size(balls, cands, limit):
+    """Size of a greedy clique cover of the conflict graph on cands.
+
+    Each clique starts at the lowest uncovered candidate and grows with
+    the lowest candidate conflicting with all its members.  A clique
+    holds at most one vertex of any packing, so the count bounds the
+    packings inside cands.  Counting stops once it exceeds limit: the
+    caller prunes only when the result is at most limit.
+    """
+    count = 0
+    while cands and count <= limit:
+        count += 1
+        low = cands & -cands
+        cands ^= low
+        grow = balls[low.bit_length() - 1] & cands
+        while grow:
+            low = grow & -grow
+            cands ^= low
+            grow &= balls[low.bit_length() - 1]
+            grow ^= low
+    return count
 
 
 def _search_max(balls, n, accept=None):
@@ -87,7 +96,6 @@ def _search_max(balls, n, accept=None):
     candidate sets are tested at every node (feasibility need not be
     preserved by adding vertices).  Returns (size, mask).
     """
-    cliques = _clique_cover(balls, n)
     best_size = -1
     best_mask = 0
 
@@ -102,8 +110,8 @@ def _search_max(balls, n, accept=None):
         room = cands.bit_count()
         if size + room <= best_size:
             return
-        bound = sum(1 for c in cliques if c & cands)
-        if size + bound <= best_size:
+        limit = best_size - size
+        if _cover_size(balls, cands, limit) <= limit:
             return
         low = cands & -cands
         v = low.bit_length() - 1
@@ -119,7 +127,6 @@ def _search_max(balls, n, accept=None):
 def _enumerate_size(balls, n, target, cap):
     """All conflict-free subsets of exactly the given size, ascending
     lexicographic order."""
-    cliques = _clique_cover(balls, n)
     found = []
 
     def dfs(cur, size, cands):
@@ -131,7 +138,8 @@ def _enumerate_size(balls, n, target, cap):
             return
         if size + cands.bit_count() < target:
             return
-        if size + sum(1 for c in cliques if c & cands) < target:
+        limit = target - size - 1
+        if _cover_size(balls, cands, limit) <= limit:
             return
         low = cands & -cands
         v = low.bit_length() - 1

@@ -7,6 +7,7 @@ the solvers' shortcuts are wrong.
 from itertools import chain, combinations
 
 import pytest
+from hypothesis import strategies as st
 
 from incdim import build_graph
 from incdim.graph import INFINITE
@@ -29,6 +30,19 @@ def figure2():
     edges += [(7, 10), (8, 11), (9, 12)]     # b-c stalks
     edges += [(0, 13), (6, 14)]              # pendants d1, d2
     return build_graph(15, edges)
+
+
+def small_graphs():
+    """Hypothesis strategy: graphs with up to 8 vertices."""
+    def build(data):
+        n, mask = data
+        slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        return build_graph(n, [slots[i] for i in range(len(slots))
+                               if (mask >> i) & 1])
+    return st.integers(1, 8).flatmap(
+        lambda n: st.tuples(st.just(n),
+                            st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
+    ).map(build)
 
 
 def powerset(items):
@@ -59,10 +73,11 @@ def oracle_is_packing(g, p):
     return all(g.dist[u][v] > 2 for i, u in enumerate(p) for v in p[i + 1:])
 
 
-def oracle_max_packings(g):
-    """All maximum 2-packings by full subset enumeration (small n only)."""
+def oracle_max_packings(g, within=None):
+    """All maximum 2-packings by full subset enumeration (small n only),
+    optionally only those inside the vertex set within."""
     best, out = 0, [frozenset()]
-    for subset in powerset(range(g.n)):
+    for subset in powerset(range(g.n) if within is None else within):
         if oracle_is_packing(g, subset):
             if len(subset) > best:
                 best, out = len(subset), [frozenset(subset)]

@@ -78,6 +78,16 @@ def test_rho(capsys, figure1_file):
     assert [0, 3] in report["results"]["all_witnesses"]
 
 
+def test_rho_too_deep_is_clean_error(capsys, tmp_path):
+    # The include-first search on an edgeless graph recurses once per vertex.
+    path = tmp_path / "edgeless.txt"
+    path.write_text("1500 0\n")
+    assert main(["rho", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "recursion depth" in err
+
+
 def test_ecritical(capsys, figure1_file):
     code, report = run_json(capsys, ["ecritical", figure1_file, "0", "1"])
     assert code == 0

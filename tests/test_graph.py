@@ -1,25 +1,11 @@
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from incdim import (build_graph, generate_family, induced_subgraph,
                     is_edge_triangular, neighbors, remove_edge)
 from incdim.graph import (INFINITE, format_edge_list, parse_edge_list)
 
-from .conftest import floyd_warshall
-
-
-def small_graphs():
-    """Hypothesis strategy: graphs with up to 8 vertices."""
-    def build(data):
-        n, mask = data
-        slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        return build_graph(n, [slots[i] for i in range(len(slots))
-                               if (mask >> i) & 1])
-    return st.integers(1, 8).flatmap(
-        lambda n: st.tuples(st.just(n),
-                            st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
-    ).map(build)
+from .conftest import floyd_warshall, small_graphs
 
 
 def test_build_single_edge():

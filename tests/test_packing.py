@@ -1,13 +1,17 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from incdim import (WitnessCapExceeded, build_graph, e_critical_packing,
                     generate_family, has_unique_max_packing, is_packing,
                     max_packing, remove_edge)
 from incdim.corpus import all_labeled_graphs, random_graphs
+from incdim.packing import _cover_size, _mask_to_set
 
-from .conftest import oracle_e_critical_size, oracle_max_packings
+from .conftest import (oracle_e_critical_size, oracle_max_packings,
+                       small_graphs)
 
 
 def test_is_packing_figure1(figure1):
@@ -46,9 +50,23 @@ def test_figure2_packings(figure2):
 
 
 def test_witness_is_lexicographically_smallest():
-    for g in random_graphs(7, 40, seed=7):
-        res = max_packing(g, enumerate_all=True)
-        assert res.witness == min(res.all_witnesses, key=sorted)
+    for n in (7, 8, 9, 10):
+        for g in random_graphs(n, 40, seed=n):
+            res = max_packing(g, enumerate_all=True)
+            assert res.witness == min(res.all_witnesses, key=sorted)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs().flatmap(
+    lambda g: st.tuples(st.just(g), st.integers(0, (1 << g.n) - 1))))
+def test_cover_size_bounds_packings_within_candidates(case):
+    g, cands = case
+    best, _ = oracle_max_packings(g, within=_mask_to_set(cands))
+    for limit in range(-1, g.n + 1):
+        cover = _cover_size(g.ball2_masks, cands, limit)
+        assert cover <= cands.bit_count()
+        if best > limit:
+            assert cover > limit
 
 
 def test_max_packing_matches_oracle_exhaustive():

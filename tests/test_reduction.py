@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from incdim import (assignment_to_generator, basis_to_assignment,
+from incdim import (CnfFormula, assignment_to_generator, basis_to_assignment,
                     build_reduction, is_edge_triangular,
                     is_incidence_generator, is_packing, is_satisfiable,
                     max_packing, parse_cnf, satisfying_assignment,
@@ -193,3 +194,32 @@ def test_satisfiable_reduction_packing_value():
     f = parse_cnf("p cnf 3 1\n1 -2 3 0\n")
     red = build_reduction(f)
     assert max_packing(red.graph).size == 2 * 3 + 1
+
+
+def random_3cnf(num_vars, num_clauses, seed):
+    """Uniform random 3-CNF: three distinct variables per clause, random
+    signs."""
+    rng = random.Random(seed)
+    clauses = []
+    for _ in range(num_clauses):
+        variables = rng.sample(range(1, num_vars + 1), 3)
+        clauses.append(tuple(x if rng.random() < 0.5 else -x
+                             for x in variables))
+    return CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
+
+
+def test_reduction_scale_packing_decides_sat():
+    # n = 252..354 vertices near the satisfiability threshold; a static
+    # clique-cover bound does not decide the 6/24 class within minutes.
+    outcomes = set()
+    for num_vars, num_clauses in ((6, 24), (7, 28), (8, 34)):
+        for seed in range(8):
+            f = random_3cnf(num_vars, num_clauses, seed)
+            g = build_reduction(f).graph
+            res = max_packing(g)
+            sat = satisfying_assignment(f) is not None
+            outcomes.add(sat)
+            assert (res.size == 2 * num_vars + num_clauses) == sat
+            assert len(res.witness) == res.size
+            assert is_packing(g, res.witness)
+    assert outcomes == {True, False}
