@@ -18,6 +18,8 @@ from .corpus import all_labeled_graphs, random_graphs
 
 
 def _load_graph(path):
+    if path == "-":
+        return gmod.parse_edge_list(sys.stdin.read())
     return gmod.read_edge_list(path)
 
 
@@ -128,10 +130,11 @@ def cmd_dime(args):
 def cmd_classify(args):
     started = time.perf_counter()
     g = _load_graph(args.graph)
-    label = incidence.classify(g)
-    rho = packing.max_packing(g).size
-    value = (incidence.dim_I_structural(g).value if g.m
-             else incidence.dim_I_brute(g).value)
+    rho_res = packing.max_packing(g)
+    label = incidence.classify(g, rho_res)
+    # classify has already checked that dim_I is n - rho or n - rho - 1.
+    rho = rho_res.size
+    value = g.n - rho - (label == incidence.CLASS_MINUS_ONE)
     results = {"class": label, "dim_I": value, "rho": rho}
     results.update(_graph_meta(g, started))
     return _report("classify", {"graph": args.graph}, results)
@@ -167,9 +170,17 @@ def cmd_reduce(args):
 def _rebuild_reduction(labels_path):
     with open(labels_path) as fh:
         sidecar = json.load(fh)
-    f = reduction.CnfFormula(
-        num_vars=sidecar["num_vars"],
-        clauses=tuple(tuple(c) for c in sidecar["clauses"]))
+    if not isinstance(sidecar, dict):
+        sidecar = {}
+    num_vars, clauses = sidecar.get("num_vars"), sidecar.get("clauses")
+    if not (isinstance(num_vars, int) and isinstance(clauses, list)
+            and all(isinstance(c, list) and all(
+                isinstance(lit, int) and 0 < abs(lit) <= num_vars
+                for lit in c) for c in clauses)):
+        raise ValueError(f"{labels_path}: not a labels file written by "
+                         "reduce (needs num_vars and clauses over them)")
+    f = reduction.CnfFormula(num_vars=num_vars,
+                             clauses=tuple(tuple(c) for c in clauses))
     return reduction.build_reduction(f)
 
 

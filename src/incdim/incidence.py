@@ -2,8 +2,11 @@
 
 Two routes compute the same parameter: a direct subset search over
 candidate generators, and the structural route through e-critical
-packings (value = n - max_e |P_e|).  Closed formulas cover the four
-standard families.
+packings (value = n - max_e |P_e|).  Since rho <= |P_e| <= rho + 1,
+the structural route needs one max_packing plus at most one search per
+edge that lies in no triangle, restricted to the vertices beyond
+distance 2 of both endpoints (see packing).  Closed formulas cover the
+four standard families.
 """
 from __future__ import annotations
 
@@ -11,7 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graph import _normalize_edge, is_connected
-from .packing import (DEFAULT_WITNESS_CAP, e_critical_packing, max_packing)
+from .packing import (DEFAULT_WITNESS_CAP, _mask_to_set, _with_endpoints,
+                      e_critical_packing, max_packing)
 
 CLASS_MINUS_ONE = "CLASS_MINUS_ONE"   # dim_I = n - rho - 1
 CLASS_EXACT = "CLASS_EXACT"           # dim_I = n - rho
@@ -93,24 +97,33 @@ def dim_I_brute(g, full_search=False):
     raise AssertionError("unreachable: V(G) is always a generator")
 
 
-def dim_I_structural(g):
+def dim_I_structural(g, rho_res=None):
     """Exact dimension as n - k with k the best e-critical packing size.
 
     The basis is the complement of the witness of the first achieving
-    edge (edges scanned in ascending order)."""
+    edge (edges scanned in ascending order).  k is rho + 1 at the first
+    edge whose e-critical packing holds both endpoints and rho + 1
+    vertices, and otherwise rho, achieved first by the smallest edge.
+    rho_res, when given, must be max_packing(g).
+    """
     if g.m == 0:
         raise ValueError("structural method requires an edge")
-    best = None
-    for e in g.sorted_edges:
-        res = e_critical_packing(g, e)
-        if best is None or res.size > best.size:
-            best = res
-    basis = frozenset(range(g.n)) - best.witness
+    if rho_res is None:
+        rho_res = max_packing(g)
+    for u, v in g.sorted_edges:
+        forced = _with_endpoints(g, u, v, rho_res.size)
+        if forced is not None:
+            edge, witness = (u, v), _mask_to_set(forced)
+            break
+    else:
+        edge = g.sorted_edges[0]
+        witness = e_critical_packing(g, edge, rho_res).witness
+    basis = frozenset(range(g.n)) - witness
     if not is_incidence_generator(g, basis):
         raise AssertionError(
             f"structural basis failed the generator check: {sorted(basis)}")
-    return DimResult(value=g.n - best.size, basis=basis,
-                     method="structural", achieving_edge=best.edge)
+    return DimResult(value=len(basis), basis=basis, method="structural",
+                     achieving_edge=edge)
 
 
 def dim_I_formula(family, *params):
@@ -139,14 +152,17 @@ def dim_I_formula(family, *params):
     raise ValueError(f"formula domain violated: unknown family {family!r}")
 
 
-def classify(g):
+def classify(g, rho_res=None):
     """Partition label: CLASS_MINUS_ONE when dim_I = n - rho - 1,
-    CLASS_EXACT when dim_I = n - rho."""
-    rho = max_packing(g).size
+    CLASS_EXACT when dim_I = n - rho.  rho_res, when given, must be
+    max_packing(g)."""
+    if rho_res is None:
+        rho_res = max_packing(g)
+    rho = rho_res.size
     if g.m == 0:
         value = 0
     else:
-        value = dim_I_structural(g).value
+        value = dim_I_structural(g, rho_res).value
     if value == g.n - rho - 1:
         return CLASS_MINUS_ONE
     if value == g.n - rho:
@@ -173,7 +189,7 @@ def check_symdiff_condition(g, witness_cap=DEFAULT_WITNESS_CAP):
             if any(u in sym and v in sym for u, v in g.edges):
                 witness_pair = (p1, p2)
                 break
-    return {"class": classify(g), "witness_pair": witness_pair}
+    return {"class": classify(g, res), "witness_pair": witness_pair}
 
 
 def common_neighbor_characterization(g):

@@ -11,12 +11,21 @@ restricted to the remaining candidates, recomputed for that node (the
 colouring bound of MCQ/BBMC max-clique solvers, applied to the
 complement).  It prunes only subtrees that cannot beat the incumbent,
 so it changes no witness and no enumeration order.
+
+e-critical packings are decided on G's own conflict balls; G - e is
+never built.  For e = uv, a set larger than rho(G) must hold both u
+and v, which is possible only when u and v have no common neighbour.
+Then the rest of the set is exactly a 2-packing of G avoiding
+ball2(u) | ball2(v): removing e changes no distance-2 relation
+between two vertices other than u and v.  So |P_e| = max(rho,
+2 + p_e), with p_e the packing number of G on that candidate set,
+and each edge costs at most one search restricted to it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, _normalize_edge, remove_edge
+from .graph import _normalize_edge
 
 DEFAULT_WITNESS_CAP = 10 ** 6
 
@@ -88,23 +97,22 @@ def _cover_size(balls, cands, limit):
     return count
 
 
-def _search_max(balls, n, accept=None):
-    """Maximum conflict-free subset, lexicographically smallest witness.
+def _search_max(balls, cands, floor):
+    """Largest conflict-free subset of cands, if it has more than floor
+    vertices.
 
     balls[v] is the bitmask of v plus every vertex conflicting with v.
-    When accept is given, only sets passing it may be recorded, and
-    candidate sets are tested at every node (feasibility need not be
-    preserved by adding vertices).  Returns (size, mask).
+    Returns the lexicographically smallest such subset of maximum size
+    as a mask, or None when no subset beats floor (floor = -1 always
+    yields a set, possibly the empty one).
     """
-    best_size = -1
-    best_mask = 0
+    best_size = floor
+    best_mask = None
 
     def dfs(cur, size, cands):
         nonlocal best_size, best_mask
-        if accept is not None and size > best_size and accept(cur):
-            best_size, best_mask = size, cur
         if cands == 0:
-            if accept is None and size > best_size:
+            if size > best_size:
                 best_size, best_mask = size, cur
             return
         room = cands.bit_count()
@@ -118,10 +126,8 @@ def _search_max(balls, n, accept=None):
         dfs(cur | low, size + 1, cands & ~balls[v])
         dfs(cur, size, cands & ~low)
 
-    dfs(0, 0, (1 << n) - 1)
-    if best_size < 0:  # only possible with accept rejecting everything
-        best_size, best_mask = 0, 0
-    return best_size, best_mask
+    dfs(0, 0, cands)
+    return best_mask
 
 
 def _enumerate_size(balls, n, target, cap):
@@ -157,7 +163,8 @@ def max_packing(g, enumerate_all=False, witness_cap=DEFAULT_WITNESS_CAP):
     With enumerate_all, all_witnesses lists every maximum packing (in
     lexicographic order), guarded by witness_cap.
     """
-    size, mask = _search_max(g.ball2_masks, g.n)
+    mask = _search_max(g.ball2_masks, (1 << g.n) - 1, -1)
+    size = mask.bit_count()
     witnesses = None
     if enumerate_all:
         masks = _enumerate_size(g.ball2_masks, g.n, size, witness_cap)
@@ -166,38 +173,50 @@ def max_packing(g, enumerate_all=False, witness_cap=DEFAULT_WITNESS_CAP):
                          all_witnesses=witnesses)
 
 
-def e_critical_packing(g, e):
+def _with_endpoints(g, u, v, floor):
+    """Lexicographically smallest maximum 2-packing of G - uv that holds
+    both u and v, as a mask, if it has more than floor vertices; else
+    None (always None when u and v have a common neighbour)."""
+    if g.adj_masks[u] & g.adj_masks[v]:
+        return None
+    balls = g.ball2_masks
+    cands = ((1 << g.n) - 1) & ~(balls[u] | balls[v])
+    rest = _search_max(balls, cands, floor - 2)
+    return None if rest is None else rest | (1 << u) | (1 << v)
+
+
+def e_critical_packing(g, e, rho_res=None):
     """Maximum 2-packing of G-e subject to the endpoint condition: a set
     containing fewer than both endpoints of e must also be a 2-packing
-    of G itself."""
+    of G itself.
+
+    rho_res, when given, must be max_packing(g); it saves recomputing
+    it.  The witness is the lexicographically smallest maximum set.
+    """
     u, v = _normalize_edge(e)
     if (u, v) not in g.edges:
         raise ValueError(f"edge not in graph: {(u, v)}")
-    ge = remove_edge(g, (u, v))
-    endpoints = (1 << u) | (1 << v)
-    dist_g = g.dist
-
-    # A packing of G-e fails to be one of G only at pairs whose distance
-    # drops to <= 2 once e is restored.
-    bad_pairs = []
-    for x in range(g.n):
-        for y in range(x + 1, g.n):
-            if dist_g[x][y] <= 2 and ge.dist[x][y] > 2:
-                bad_pairs.append((1 << x) | (1 << y))
-
-    def accept(mask):
-        if mask & endpoints == endpoints:
-            return True
-        return all(mask & p != p for p in bad_pairs)
-
-    size, mask = _search_max(ge.ball2_masks, g.n, accept=accept)
-    witness = _mask_to_set(mask)
+    if rho_res is None:
+        rho_res = max_packing(g)
+    mask = 0
+    for x in rho_res.witness:
+        mask |= 1 << x
+    # The feasible sets missing an endpoint are the packings of G, led
+    # by rho_res's witness; those holding both have at most rho + 1
+    # vertices.  Of two sets of equal size the lexicographically
+    # smaller holds the lowest vertex of their symmetric difference.
+    forced = _with_endpoints(g, u, v, rho_res.size - 1)
+    if forced is not None:
+        low = (forced ^ mask) & -(forced ^ mask)
+        if forced.bit_count() > rho_res.size or forced & low:
+            mask = forced
+    both = mask == forced
     return CriticalPackingResult(
         edge=(u, v),
-        size=size,
-        witness=witness,
-        is_packing_of_g=is_packing(g, witness),
-        contains_both_endpoints=mask & endpoints == endpoints,
+        size=mask.bit_count(),
+        witness=_mask_to_set(mask),
+        is_packing_of_g=not both,   # u and v are adjacent in G
+        contains_both_endpoints=both,
     )
 
 

@@ -29,7 +29,7 @@ def _evaluate(g, full_brute, with_metric):
     rho = rho_res.size
     brute = dim_I_brute(g, full_search=full_brute)
     if g.m >= 1:
-        structural = dim_I_structural(g)
+        structural = dim_I_structural(g, rho_res)
         value = structural.value
     else:
         structural = None
@@ -45,7 +45,7 @@ def _evaluate(g, full_brute, with_metric):
 
     ok, detail = True, None
     for e in g.sorted_edges:
-        res = e_critical_packing(g, e)
+        res = e_critical_packing(g, e, rho_res)
         if not rho <= res.size <= rho + 1:
             ok, detail = False, f"edge {e}: |P_e|={res.size} rho={rho}"
             break

@@ -86,17 +86,25 @@ def oracle_max_packings(g, within=None):
     return best, out
 
 
+def oracle_e_critical_feasible(g, ge, e, subset):
+    """A packing of G - e that is also one of G unless it holds both
+    endpoints of e."""
+    if not oracle_is_packing(ge, subset):
+        return False
+    return set(e) <= set(subset) or oracle_is_packing(g, subset)
+
+
 def oracle_e_critical_size(g, ge, e):
     """Maximum feasible e-critical packing size by subset enumeration."""
-    u, v = e
-    best = 0
-    for subset in powerset(range(g.n)):
-        if not oracle_is_packing(ge, subset):
-            continue
-        if len({u, v} & set(subset)) < 2 and not oracle_is_packing(g, subset):
-            continue
-        best = max(best, len(subset))
-    return best
+    return max(len(subset) for subset in powerset(range(g.n))
+               if oracle_e_critical_feasible(g, ge, e, subset))
+
+
+def oracle_e_critical_witness(g, ge, e, size):
+    """Lexicographically first feasible e-critical packing of the given
+    size, by enumeration in lexicographic order."""
+    return next(frozenset(subset) for subset in combinations(range(g.n), size)
+                if oracle_e_critical_feasible(g, ge, e, subset))
 
 
 def oracle_is_incidence_generator(g, s):

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -38,6 +39,14 @@ def test_dimi_auto(capsys, p8_file):
     assert code == 0
     assert report["results"]["value"] == 4
     assert report["results"]["method"] == "structural"
+
+
+def test_graph_from_stdin(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("3 2\n0 1\n1 2\n"))
+    code, report = run_json(capsys, ["dimi", "-"])
+    assert code == 0
+    assert report["results"]["value"] == 1
+    assert report["inputs"]["graph"] == "-"
 
 
 def test_dimi_k2(capsys, k2_file):
@@ -155,6 +164,21 @@ def test_extract_rejects_loose_set(capsys, tmp_path):
     code = main(["extract", str(out) + ".labels.json", "0,1,2"])
     assert code == 2
     assert "not a tight basis" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sidecar", [
+    {"r": 20, "clauses": [[-1, -2, 3]]},
+    {"num_vars": 3},
+    {"num_vars": 2, "clauses": [[-1, -2, 3]]},
+    [3, [[-1, -2, 3]]],
+])
+def test_extract_rejects_malformed_sidecar(capsys, tmp_path, sidecar):
+    labels = tmp_path / "red.txt.labels.json"
+    labels.write_text(json.dumps(sidecar))
+    assert main(["extract", str(labels), "0,1,2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not a labels file" in err
 
 
 def test_verify_exhaustive(capsys):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from incdim import (CLASS_EXACT, CLASS_MINUS_ONE, build_graph,
                     check_symdiff_condition, classify,
@@ -8,7 +9,8 @@ from incdim import (CLASS_EXACT, CLASS_MINUS_ONE, build_graph,
                     resolves)
 from incdim.corpus import all_labeled_graphs, random_graphs
 
-from .conftest import oracle_dim_I, oracle_is_incidence_generator
+from .conftest import (oracle_dim_I, oracle_is_incidence_generator,
+                       small_graphs)
 
 
 def test_resolves_p3():
@@ -101,6 +103,29 @@ def test_dim_structural_basis_is_generator():
         res = dim_I_structural(g)
         assert is_incidence_generator(g, res.basis)
         assert len(res.basis) == res.value
+
+
+def test_dim_structural_basis_follows_first_edge_witness():
+    # Path 3-0-1-2 (rho = 2, maximum packing {2, 3}) has dim_I = n - rho.
+    # The basis is the complement of edge (0, 1)'s e-critical witness
+    # {0, 1}, not of the maximum packing.
+    g = build_graph(4, [(0, 1), (0, 3), (1, 2)])
+    res = dim_I_structural(g)
+    assert res.value == 2 and res.achieving_edge == (0, 1)
+    assert res.basis == {2, 3}
+
+
+def test_dim_structural_reuses_given_max_packing():
+    for g in random_graphs(8, 40, seed=67):
+        if g.m:
+            assert dim_I_structural(g, max_packing(g)) == dim_I_structural(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs())
+def test_dim_structural_matches_oracle(g):
+    if g.m:
+        assert dim_I_structural(g).value == oracle_dim_I(g)
 
 
 def test_dim_structural_requires_edge():

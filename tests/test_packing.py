@@ -10,8 +10,8 @@ from incdim import (WitnessCapExceeded, build_graph, e_critical_packing,
 from incdim.corpus import all_labeled_graphs, random_graphs
 from incdim.packing import _cover_size, _mask_to_set
 
-from .conftest import (oracle_e_critical_size, oracle_max_packings,
-                       small_graphs)
+from .conftest import (oracle_e_critical_size, oracle_e_critical_witness,
+                       oracle_is_packing, oracle_max_packings, small_graphs)
 
 
 def test_is_packing_figure1(figure1):
@@ -115,6 +115,36 @@ def test_e_critical_c4():
         res = e_critical_packing(c4, e)
         assert res.size == 2
         assert res.witness == frozenset(e)
+
+
+def test_e_critical_witness_prefers_endpoints_when_lex_smaller():
+    # Path 3-0-1-2: rho = 2 with the unique maximum packing {2, 3}, but
+    # {0, 1} is also feasible for e = (0, 1) and lexicographically first.
+    g = build_graph(4, [(0, 1), (0, 3), (1, 2)])
+    assert max_packing(g).witness == {2, 3}
+    res = e_critical_packing(g, (0, 1))
+    assert res.size == 2 and res.witness == {0, 1}
+    assert res.contains_both_endpoints and not res.is_packing_of_g
+
+
+def test_e_critical_reuses_given_max_packing():
+    for g in random_graphs(8, 40, seed=29):
+        rho_res = max_packing(g)
+        for e in g.sorted_edges:
+            assert e_critical_packing(g, e, rho_res) == \
+                e_critical_packing(g, e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs())
+def test_e_critical_matches_oracle_witness(g):
+    for e in g.sorted_edges:
+        ge = remove_edge(g, e)
+        res = e_critical_packing(g, e)
+        assert res.size == oracle_e_critical_size(g, ge, e)
+        assert res.witness == oracle_e_critical_witness(g, ge, e, res.size)
+        assert res.contains_both_endpoints == (set(e) <= res.witness)
+        assert res.is_packing_of_g == oracle_is_packing(g, res.witness)
 
 
 def test_e_critical_missing_edge(figure1):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from incdim import (CnfFormula, assignment_to_generator, basis_to_assignment,
-                    build_reduction, is_edge_triangular,
+                    build_reduction, dim_I_structural, is_edge_triangular,
                     is_incidence_generator, is_packing, is_satisfiable,
                     max_packing, parse_cnf, satisfying_assignment,
                     verify_claims)
@@ -208,18 +208,32 @@ def random_3cnf(num_vars, num_clauses, seed):
     return CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
 
 
+# Seeded formulas near the satisfiability threshold, n = 252..354
+# vertices, with both outcomes among them.
+SCALE_FORMULAS = [random_3cnf(num_vars, num_clauses, seed)
+                  for num_vars, num_clauses in ((6, 24), (7, 28), (8, 34))
+                  for seed in range(8)]
+
+
 def test_reduction_scale_packing_decides_sat():
-    # n = 252..354 vertices near the satisfiability threshold; a static
-    # clique-cover bound does not decide the 6/24 class within minutes.
+    # A static clique-cover bound does not decide the 6/24 class within
+    # minutes.
     outcomes = set()
-    for num_vars, num_clauses in ((6, 24), (7, 28), (8, 34)):
-        for seed in range(8):
-            f = random_3cnf(num_vars, num_clauses, seed)
-            g = build_reduction(f).graph
-            res = max_packing(g)
-            sat = satisfying_assignment(f) is not None
-            outcomes.add(sat)
-            assert (res.size == 2 * num_vars + num_clauses) == sat
-            assert len(res.witness) == res.size
-            assert is_packing(g, res.witness)
+    for f in SCALE_FORMULAS:
+        g = build_reduction(f).graph
+        res = max_packing(g)
+        sat = satisfying_assignment(f) is not None
+        outcomes.add(sat)
+        assert (res.size == 2 * f.num_vars + len(f.clauses)) == sat
+        assert len(res.witness) == res.size
+        assert is_packing(g, res.witness)
     assert outcomes == {True, False}
+
+
+def test_reduction_scale_dimi_decides_sat():
+    # The hardness theorem through the structural solver: dim_I = r
+    # exactly when the formula is satisfiable.
+    for f in SCALE_FORMULAS:
+        red = build_reduction(f)
+        sat = satisfying_assignment(f) is not None
+        assert (dim_I_structural(red.graph).value == red.r) == sat

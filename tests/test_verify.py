@@ -24,7 +24,7 @@ def test_suite_deterministic():
 
 def test_mutation_is_caught(monkeypatch):
     # an off-by-one structural solver must trip the theorem invariant
-    def broken(g):
+    def broken(g, rho_res=None):
         res = verify.dim_I_brute(g)
         return DimResult(value=res.value + 1, basis=res.basis,
                          method="structural")
