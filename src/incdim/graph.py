@@ -1,8 +1,12 @@
-"""Immutable simple graphs with precomputed all-pairs distances.
+"""Immutable simple graphs held as adjacency only.
 
-Vertices are dense integers 0..n-1. Distances between vertices in
-different components are INFINITE, which compares greater than any
-finite hop count, so distance predicates work uniformly on
+Vertices are dense integers 0..n-1.  A graph stores its edge set; the
+neighbourhoods, the distance-2 conflict balls and the all-pairs hop
+distances are derived from it on first use and cached.  The balls are
+built from adjacency masks, so code that needs only distance <= 2
+relations never pays for the n x n distance table.  Distances between
+vertices in different components are INFINITE, which compares greater
+than any finite hop count, so distance predicates work uniformly on
 disconnected graphs.
 """
 from __future__ import annotations
@@ -24,11 +28,15 @@ def _normalize_edge(e):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph; construct through build_graph."""
+    """Simple undirected graph; construct through build_graph.
+
+    Only n and the edge set are stored.  Every other view is a cached
+    property computed on first access: adjacency sets and masks, the
+    distance-2 balls, and dist, the n x n hop-distance table.
+    """
 
     n: int
     edges: frozenset  # frozenset of (u, v) tuples with u < v
-    dist: tuple       # n x n tuple of tuples, hop distances
 
     @cached_property
     def adj(self):
@@ -50,16 +58,19 @@ class Graph:
 
     @cached_property
     def ball2_masks(self):
-        """For each v: bitmask of v itself plus all u with d(u,v) <= 2."""
-        masks = []
-        for v in range(self.n):
-            m = 1 << v
-            row = self.dist[v]
-            for u in range(self.n):
-                if u != v and row[u] <= 2:
-                    m |= 1 << u
-            masks.append(m)
-        return tuple(masks)
+        """For each v: bitmask of v itself plus all u with d(u,v) <= 2,
+        i.e. v | N(v) | N(N(v))."""
+        adj = self.adj_masks
+        balls = [(1 << v) | adj[v] for v in range(self.n)]
+        for u, v in self.edges:
+            balls[u] |= adj[v]
+            balls[v] |= adj[u]
+        return tuple(balls)
+
+    @cached_property
+    def dist(self):
+        """n x n tuple of tuples of hop distances (BFS from every vertex)."""
+        return _distances(self.n, self.edges)
 
     @cached_property
     def sorted_edges(self):
@@ -109,7 +120,7 @@ def build_graph(n, edge_list):
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"vertex out of range in edge ({u}, {v})")
         edges.add((u, v))
-    return Graph(n=n, edges=frozenset(edges), dist=_distances(n, edges))
+    return Graph(n=n, edges=frozenset(edges))
 
 
 def neighbors(g, v):
@@ -120,12 +131,11 @@ def neighbors(g, v):
 
 
 def remove_edge(g, e):
-    """Return a new graph with edge e removed and distances recomputed."""
+    """Return a new graph with edge e removed."""
     e = _normalize_edge(e)
     if e not in g.edges:
         raise ValueError(f"edge not in graph: {e}")
-    edges = g.edges - {e}
-    return Graph(n=g.n, edges=edges, dist=_distances(g.n, edges))
+    return Graph(n=g.n, edges=g.edges - {e})
 
 
 def induced_subgraph(g, d):
@@ -143,13 +153,26 @@ def induced_subgraph(g, d):
 
 def is_edge_triangular(g):
     """True iff every edge lies in at least one triangle."""
-    return all(g.adj[u] & g.adj[v] for u, v in g.edges)
+    adj = g.adj_masks
+    return all(adj[u] & adj[v] for u, v in g.edges)
 
 
 def is_connected(g):
+    """True iff every vertex is reachable from vertex 0 (flooded over
+    adjacency masks one BFS layer at a time)."""
     if g.n <= 1:
         return True
-    return all(d != INFINITE for d in g.dist[0])
+    adj = g.adj_masks
+    seen = frontier = 1
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        seen |= frontier
+    return seen.bit_count() == g.n
 
 
 # ---------------------------------------------------------------------------

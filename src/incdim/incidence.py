@@ -199,5 +199,5 @@ def common_neighbor_characterization(g):
     characterizes dim_I = n - 1."""
     if not is_connected(g) or g.m < 2:
         raise ValueError("characterization requires connected, >=2 edges")
-    return all(g.adj[u] & g.adj[v]
-               for u in range(g.n) for v in range(u + 1, g.n))
+    adj = g.adj_masks
+    return all(adj[u] & adj[v] for u in range(g.n) for v in range(u + 1, g.n))

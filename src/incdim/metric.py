@@ -56,10 +56,15 @@ def edge_distance(g, v, e):
     return min(g.dist[v][u], g.dist[v][w])
 
 
-def _is_edge_metric_generator(g, combo):
+def _edge_distance_rows(g):
+    """For each vertex x, its distances to the edges in sorted order."""
+    return [tuple(min(row[u], row[w]) for u, w in g.sorted_edges)
+            for row in g.dist]
+
+
+def _is_edge_metric_generator(rows, combo):
     seen = set()
-    for u, w in g.sorted_edges:
-        vec = tuple(min(g.dist[x][u], g.dist[x][w]) for x in combo)
+    for vec in zip(*(rows[x] for x in combo)):
         if vec in seen:
             return False
         seen.add(vec)
@@ -71,9 +76,10 @@ def dim_e(g):
     definition, so the value is at least 1)."""
     if g.m == 0:
         raise ValueError("no edges")
+    rows = _edge_distance_rows(g)
     for size in range(1, g.n + 1):
         for combo in combinations(range(g.n), size):
-            if _is_edge_metric_generator(g, combo):
+            if _is_edge_metric_generator(rows, combo):
                 return MetricDimResult(kind="edge_metric", value=size,
                                        basis=frozenset(combo))
     raise AssertionError("unreachable: V(G) is an edge metric generator")

@@ -56,12 +56,12 @@ def is_packing(g, p):
     for v in verts:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex out of range: {v}")
-    dist = g.dist
-    for i, u in enumerate(verts):
-        row = dist[u]
-        for v in verts[i + 1:]:
-            if row[v] <= 2:
-                return False
+    balls = g.ball2_masks
+    mask = 0
+    for v in verts:
+        if balls[v] & mask:
+            return False
+        mask |= 1 << v
     return True
 
 

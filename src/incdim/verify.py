@@ -25,6 +25,7 @@ INVARIANTS = (
 def _evaluate(g, full_brute, with_metric):
     """Invariant results for one graph: {name: (ok, detail-or-None)}."""
     out = {}
+    adj = g.adj_masks
     rho_res = max_packing(g)
     rho = rho_res.size
     brute = dim_I_brute(g, full_search=full_brute)
@@ -53,7 +54,7 @@ def _evaluate(g, full_brute, with_metric):
         if len(inside) == 1:
             u = next(iter(inside))
             v = e[0] if e[1] == u else e[1]
-            if g.adj[v] & res.witness != {u}:
+            if any(adj[v] >> x & 1 for x in res.witness if x != u):
                 ok, detail = False, f"edge {e}: endpoint remark violated"
                 break
     out["bound_two"] = (ok, detail)
@@ -74,7 +75,7 @@ def _evaluate(g, full_brute, with_metric):
                 ok, detail = False, "basis complement is not a packing"
     else:
         bare = next((u, v) for u, v in g.sorted_edges
-                    if not g.adj[u] & g.adj[v])
+                    if not adj[u] & adj[v])
         s = frozenset(range(g.n)) - set(bare)
         if not is_incidence_generator(g, s):
             ok, detail = False, f"V minus {bare} is not a generator"
@@ -82,12 +83,12 @@ def _evaluate(g, full_brute, with_metric):
 
     ok, detail = True, None
     if with_metric:
-        isolated = any(not g.adj[v] for v in range(g.n))
+        isolated = not all(adj)
         # Components that are a single edge behave like K_2: the pair
         # inside needs a dedicated adjacency/edge-metric vertex while the
         # incidence definition sees only one edge there.  Those cases are
         # reported as conventions, not asserted.
-        k2_component = any(len(g.adj[u]) == 1 and len(g.adj[v]) == 1
+        k2_component = any(adj[u] == 1 << v and adj[v] == 1 << u
                            for u, v in g.edges)
         if not isolated and not k2_component and value >= 1:
             da, de = dim_A(g), dim_e(g)
@@ -105,7 +106,7 @@ def _evaluate(g, full_brute, with_metric):
         if not g.n // 2 <= value <= g.n - 1:
             ok, detail = False, f"dim_I={value} outside [n/2, n-1]"
         else:
-            common = all(g.adj[u] & g.adj[v]
+            common = all(adj[u] & adj[v]
                          for u in range(g.n) for v in range(u + 1, g.n))
             if common != (value == g.n - 1):
                 ok, detail = False, ("common-neighbor characterization "

@@ -45,6 +45,20 @@ def small_graphs():
     ).map(build)
 
 
+# Tokens of both text parsers: DIMACS keywords, comment markers, signs,
+# a header-sized count and separators.
+PARSER_TOKENS = ("0", "1", "2", "3", "-1", "-2", "-", "+", "x", "#", "c",
+                 "%", "p", "cnf", "p cnf", "1000000000", " ", "\t", "\n")
+
+
+def parser_texts():
+    """Hypothesis strategy: input text for the parsers, mostly strings
+    of their own tokens, otherwise arbitrary text."""
+    return st.one_of(
+        st.lists(st.sampled_from(PARSER_TOKENS), max_size=40).map("".join),
+        st.text(max_size=40))
+
+
 def powerset(items):
     items = list(items)
     return chain.from_iterable(combinations(items, k)
@@ -105,6 +119,21 @@ def oracle_e_critical_witness(g, ge, e, size):
     size, by enumeration in lexicographic order."""
     return next(frozenset(subset) for subset in combinations(range(g.n), size)
                 if oracle_e_critical_feasible(g, ge, e, subset))
+
+
+def oracle_dim_e(g):
+    """Smallest edge metric generator and the lexicographically first
+    one of that size, by ascending subset search over Floyd-Warshall
+    edge distances."""
+    d = floyd_warshall(g)
+    edges = sorted(g.edges)
+    for k in range(1, g.n + 1):
+        for combo in combinations(range(g.n), k):
+            vectors = {tuple(min(d[x][u], d[x][w]) for x in combo)
+                       for u, w in edges}
+            if len(vectors) == len(edges):
+                return k, frozenset(combo)
+    raise AssertionError("V(G) must be an edge metric generator")
 
 
 def oracle_is_incidence_generator(g, s):

@@ -87,6 +87,21 @@ def test_rho(capsys, figure1_file):
     assert [0, 3] in report["results"]["all_witnesses"]
 
 
+def test_back_to_back_calls_share_no_options(capsys, figure1_file):
+    # Repeated calls in one process: no flag of a call may reach the next.
+    code, report = run_json(capsys, ["rho", figure1_file, "--all"])
+    assert code == 0 and report["results"]["witness_count"] >= 1
+    assert main(["rho", figure1_file]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("command: rho\n") and "witness_count" not in out
+    code, report = run_json(capsys, ["dimi", figure1_file, "--method",
+                                     "brute", "--full-search"])
+    assert code == 0 and report["results"]["method"] == "brute"
+    code, report = run_json(capsys, ["dimi", figure1_file])
+    assert code == 0 and report["inputs"]["method"] == "auto"
+    assert report["results"]["method"] == "structural"
+
+
 def test_rho_too_deep_is_clean_error(capsys, tmp_path):
     # The include-first search on an edgeless graph recurses once per vertex.
     path = tmp_path / "edgeless.txt"

@@ -1,11 +1,12 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from incdim import (build_graph, generate_family, induced_subgraph,
-                    is_edge_triangular, neighbors, remove_edge)
+                    is_connected, is_edge_triangular, neighbors,
+                    remove_edge)
 from incdim.graph import (INFINITE, format_edge_list, parse_edge_list)
 
-from .conftest import floyd_warshall, small_graphs
+from .conftest import floyd_warshall, parser_texts, small_graphs
 
 
 def test_build_single_edge():
@@ -132,6 +133,28 @@ def test_bfs_matches_floyd_warshall(g):
     assert [list(row) for row in g.dist] == floyd_warshall(g)
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_graphs())
+def test_ball2_masks_match_floyd_warshall(g):
+    d = floyd_warshall(g)
+    assert g.ball2_masks == tuple(
+        sum(1 << u for u in range(g.n) if d[v][u] <= 2) for v in range(g.n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs())
+def test_is_connected_matches_floyd_warshall(g):
+    d = floyd_warshall(g)
+    assert is_connected(g) == all(x != INFINITE for row in d for x in row)
+
+
+def test_edgeless_graph_builds_no_distance_table():
+    g = build_graph(3000, [])
+    assert g.ball2_masks[2999] == 1 << 2999
+    assert not is_connected(g)
+    assert "dist" not in vars(g)
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_graphs())
 def test_edge_list_roundtrip(g):
@@ -151,3 +174,14 @@ def test_edge_list_errors_carry_line_numbers():
         parse_edge_list("nope\n")
     with pytest.raises(ValueError, match="declares"):
         parse_edge_list("3 2\n0 1\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(parser_texts())
+@example("1000000000 0\n")
+@example("1000000000 1\n0 999999999\n")
+def test_parse_edge_list_raises_only_value_error(text):
+    try:
+        parse_edge_list(text)
+    except ValueError:
+        pass

@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings
 
 from incdim import (build_graph, dim_A, dim_e, dim_I_brute, edge_distance,
                     generate_family, is_adjacency_generator)
 from incdim.graph import INFINITE
 from incdim.corpus import random_graphs
+
+from .conftest import oracle_dim_e, small_graphs
 
 
 def test_adjacency_generator_examples():
@@ -56,6 +59,13 @@ def test_dim_e_examples():
                 continue
             assert dim_e(
                 generate_family("complete_bipartite", r, t)).value == r + t - 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs().filter(lambda g: g.m >= 1))
+def test_dim_e_matches_oracle(g):
+    res = dim_e(g)
+    assert (res.value, res.basis) == oracle_dim_e(g)
 
 
 def test_dim_e_requires_edges():

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incdim import (WitnessCapExceeded, build_graph, e_critical_packing,
+from incdim import (WitnessCapExceeded, build_graph, build_reduction,
+                    classify, dim_I_structural, e_critical_packing,
                     generate_family, has_unique_max_packing, is_packing,
                     max_packing, remove_edge)
 from incdim.corpus import all_labeled_graphs, random_graphs
@@ -12,6 +13,7 @@ from incdim.packing import _cover_size, _mask_to_set
 
 from .conftest import (oracle_e_critical_size, oracle_e_critical_witness,
                        oracle_is_packing, oracle_max_packings, small_graphs)
+from .test_reduction import SCALE_FORMULAS
 
 
 def test_is_packing_figure1(figure1):
@@ -24,6 +26,25 @@ def test_is_packing_figure1(figure1):
 def test_is_packing_disconnected_counts_infinite():
     g = build_graph(4, [(0, 1), (2, 3)])
     assert is_packing(g, {0, 2})
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs().flatmap(
+    lambda g: st.tuples(st.just(g), st.sets(st.integers(0, g.n - 1)))))
+def test_is_packing_matches_oracle(case):
+    g, subset = case
+    assert is_packing(g, subset) == oracle_is_packing(g, subset)
+
+
+def test_packing_route_builds_no_distance_table():
+    # rho, the structural dimension and the class need only the
+    # distance-2 balls, never the n x n table.
+    g = build_reduction(SCALE_FORMULAS[0]).graph
+    rho_res = max_packing(g)
+    dim_I_structural(g, rho_res)
+    classify(g, rho_res)
+    assert is_packing(g, rho_res.witness)
+    assert "dist" not in vars(g)
 
 
 def test_rho_families():

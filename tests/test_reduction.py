@@ -2,12 +2,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
 
 from incdim import (CnfFormula, assignment_to_generator, basis_to_assignment,
                     build_reduction, dim_I_structural, is_edge_triangular,
                     is_incidence_generator, is_packing, is_satisfiable,
                     max_packing, parse_cnf, satisfying_assignment,
                     verify_claims)
+
+from .conftest import parser_texts
 
 
 FIG5_CNF = "p cnf 3 1\n-1 -2 3 0\n"
@@ -20,6 +23,17 @@ def all_sign_patterns_cnf():
         lines.append(" ".join(str(s * (i + 1))
                               for i, s in enumerate(signs)) + " 0")
     return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(parser_texts())
+@example("p cnf 1000000000 0\n")
+@example("p cnf 3 1\n1000000000 2 3 0\n")
+def test_parse_cnf_raises_only_value_error(text):
+    try:
+        parse_cnf(text)
+    except ValueError:
+        pass
 
 
 def test_parse_basic():
