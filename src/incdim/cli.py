@@ -2,8 +2,10 @@
 
 Commands: dimi, rho, ecritical, dima, dime, classify, gen, reduce,
 extract, verify.  Default output is aligned plain text; --json emits a
-machine-readable report.  Exit status is nonzero on any error or
-failed check.
+machine-readable report.  Exit status is 1 on a failed check, 2 on
+bad input or a search too large to run (one `error:` line on stderr),
+and 3 on an unexpected internal error (one `error: internal:` line
+naming the exception, no traceback).
 """
 from __future__ import annotations
 
@@ -325,6 +327,11 @@ def main(argv=None):
         print("error: graph exceeds the exact search's recursion depth "
               f"(limit {sys.getrecursionlimit()})", file=sys.stderr)
         return 2
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {message}",
+              file=sys.stderr)
+        return 3
     _emit(report, args.json)
     failed = any(not ok for _, ok, _ in report.get("checks", []))
     return 1 if failed else 0

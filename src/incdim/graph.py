@@ -26,6 +26,15 @@ def _normalize_edge(e):
     return (u, v) if u < v else (v, u)
 
 
+def _mask_to_set(mask):
+    out = set()
+    while mask:
+        low = mask & -mask
+        out.add(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph; construct through build_graph.

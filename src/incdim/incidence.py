@@ -1,7 +1,8 @@
 """Incidence resolution predicates and the exact dimension solvers.
 
-Two routes compute the same parameter: a direct subset search over
-candidate generators, and the structural route through e-critical
+Two routes compute the same parameter: a direct search for the
+smallest vertex set meeting e ^ f for every pair of edges (a minimum
+hitting set, see hitting), and the structural route through e-critical
 packings (value = n - max_e |P_e|).  Since rho <= |P_e| <= rho + 1,
 the structural route needs one max_packing plus at most one search per
 edge that lies in no triangle, restricted to the vertices beyond
@@ -11,10 +12,12 @@ four standard families.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, starmap
+from operator import xor
 
-from .graph import _normalize_edge, is_connected
-from .packing import (DEFAULT_WITNESS_CAP, _mask_to_set, _with_endpoints,
+from .graph import _mask_to_set, _normalize_edge, is_connected
+from .hitting import min_hitting_set
+from .packing import (DEFAULT_WITNESS_CAP, _with_endpoints,
                       e_critical_packing, max_packing)
 
 CLASS_MINUS_ONE = "CLASS_MINUS_ONE"   # dim_I = n - rho - 1
@@ -72,29 +75,23 @@ def is_incidence_generator(g, s):
 
 
 def dim_I_brute(g, full_search=False):
-    """Exact dimension by direct subset search.
+    """Exact dimension by direct search, independent of the structural
+    route.
 
-    By default the search only visits the two sizes allowed by the
-    packing-number sandwich; full_search restarts from size 0 and
-    assumes nothing, for oracle-grade independence.
+    S is a generator iff it meets e ^ f for every pair of edges, so the
+    value is the size of a minimum hitting set of those masks and the
+    basis the lexicographically first one (first in combinations
+    order).  By default the search starts at n - rho - 1, the lower
+    side of the packing-number sandwich; full_search starts from size
+    0 and assumes nothing, for oracle-grade independence.  Memory is
+    O(m^2) pair masks.
     """
     if g.m <= 1:
         return DimResult(value=0, basis=frozenset(), method="brute")
-    edge_masks = _edge_masks(g)
-    if full_search:
-        lo = 0
-    else:
-        rho = max_packing(g).size
-        lo = max(0, g.n - rho - 1)
-    for size in range(lo, g.n + 1):
-        for combo in combinations(range(g.n), size):
-            smask = 0
-            for v in combo:
-                smask |= 1 << v
-            if _is_generator_mask(edge_masks, smask):
-                return DimResult(value=size, basis=frozenset(combo),
-                                 method="brute")
-    raise AssertionError("unreachable: V(G) is always a generator")
+    floor = 0 if full_search else max(0, g.n - max_packing(g).size - 1)
+    pairs = starmap(xor, combinations(_edge_masks(g), 2))
+    basis = _mask_to_set(min_hitting_set(g.n, pairs, floor))
+    return DimResult(value=len(basis), basis=basis, method="brute")
 
 
 def dim_I_structural(g, rho_res=None):

@@ -1,14 +1,19 @@
 """Exact adjacency dimension and edge metric dimension solvers.
 
-Both are ascending-size lexicographic subset searches, used to verify
-that the incidence dimension dominates them.
+Both are minimum hitting sets over vertex-pair or edge-pair masks (see
+hitting), used to verify that the incidence dimension dominates them.
+The basis is the lexicographically first minimum generator, first in
+combinations(range(n), k) order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, repeat, starmap
+from operator import and_, or_, rshift, xor
 
-from .graph import _normalize_edge
+from .graph import _mask_to_set, _normalize_edge
+from .hitting import min_hitting_set
 
 
 @dataclass(frozen=True)
@@ -37,13 +42,15 @@ def is_adjacency_generator(g, s):
 
 
 def dim_A(g):
-    """Minimum-cardinality adjacency generator."""
-    for size in range(g.n + 1):
-        for combo in combinations(range(g.n), size):
-            if is_adjacency_generator(g, combo):
-                return MetricDimResult(kind="adjacency", value=size,
-                                       basis=frozenset(combo))
-    raise AssertionError("unreachable: V(G) is an adjacency generator")
+    """Minimum-cardinality adjacency generator.
+
+    S is one iff it meets {x, y} | (N(x) ^ N(y)) for every pair of
+    vertices x, y; memory is O(n^2) pair masks.
+    """
+    pairs = map(or_, starmap(xor, combinations(g.adj_masks, 2)),
+                starmap(or_, combinations([1 << v for v in range(g.n)], 2)))
+    basis = _mask_to_set(min_hitting_set(g.n, pairs))
+    return MetricDimResult(kind="adjacency", value=len(basis), basis=basis)
 
 
 def edge_distance(g, v, e):
@@ -56,30 +63,49 @@ def edge_distance(g, v, e):
     return min(g.dist[v][u], g.dist[v][w])
 
 
-def _edge_distance_rows(g):
-    """For each vertex x, its distances to the edges in sorted order."""
-    return [tuple(min(row[u], row[w]) for u, w in g.sorted_edges)
-            for row in g.dist]
+def _edge_separators(g):
+    """For every pair of edges, the mask of vertices at different
+    distances from the two.
 
-
-def _is_edge_metric_generator(rows, combo):
-    seen = set()
-    for vec in zip(*(rows[x] for x in combo)):
-        if vec in seen:
-            return False
-        seen.add(vec)
-    return True
+    Slice d (bits d*n .. d*n + n - 1) of a vertex key is its ball of
+    radius d, grown over adjacency masks until it stops growing; an
+    edge's key is the union of its endpoints' keys, so slice d holds
+    the vertices within distance d of the edge, and unreachable
+    vertices are in no slice.  Two edges are at different distances
+    from x iff some slice of their keys differs at x, so OR-folding
+    the slices of key(e) ^ key(f) onto slice 0 gives the pair's mask.
+    """
+    n = g.n
+    nbrs = [[] for _ in range(n)]
+    for u, w in g.edges:
+        nbrs[u].append(w)
+        nbrs[w].append(u)
+    ball = [1 << v for v in range(n)]
+    keys, slices = ball, 1
+    while True:
+        grown = [reduce(or_, map(ball.__getitem__, nb), ball[v])
+                 for v, nb in enumerate(nbrs)]
+        if grown == ball:
+            break
+        keys = [key | b << slices * n for key, b in zip(keys, grown)]
+        ball = grown
+        slices += 1
+    diffs = list(starmap(xor, combinations(
+        [keys[u] | keys[w] for u, w in g.sorted_edges], 2)))
+    while slices > 1:
+        slices = (slices + 1) // 2
+        diffs = list(map(or_, diffs, map(rshift, diffs, repeat(slices * n))))
+    return map(and_, diffs, repeat((1 << n) - 1))
 
 
 def dim_e(g):
     """Minimum-cardinality edge metric generator (nonempty by
-    definition, so the value is at least 1)."""
+    definition, so the value is at least 1).
+
+    S is one iff it meets, for every pair of edges, the set of vertices
+    at different distances from the two; memory is O(m^2) pair masks.
+    """
     if g.m == 0:
         raise ValueError("no edges")
-    rows = _edge_distance_rows(g)
-    for size in range(1, g.n + 1):
-        for combo in combinations(range(g.n), size):
-            if _is_edge_metric_generator(rows, combo):
-                return MetricDimResult(kind="edge_metric", value=size,
-                                       basis=frozenset(combo))
-    raise AssertionError("unreachable: V(G) is an edge metric generator")
+    basis = _mask_to_set(min_hitting_set(g.n, _edge_separators(g), 1))
+    return MetricDimResult(kind="edge_metric", value=len(basis), basis=basis)

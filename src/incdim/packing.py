@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import _normalize_edge
+from .graph import _mask_to_set, _normalize_edge
 
 DEFAULT_WITNESS_CAP = 10 ** 6
 
@@ -63,15 +63,6 @@ def is_packing(g, p):
             return False
         mask |= 1 << v
     return True
-
-
-def _mask_to_set(mask):
-    out = set()
-    while mask:
-        low = mask & -mask
-        out.add(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
 
 
 def _cover_size(balls, cands, limit):

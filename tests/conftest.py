@@ -147,10 +147,49 @@ def oracle_is_incidence_generator(g, s):
     return True
 
 
-def oracle_dim_I(g):
-    """Smallest generator size by ascending full subset search."""
+def oracle_dim_I_basis(g):
+    """Smallest generator size and the lexicographically first generator
+    of that size, by ascending full subset search."""
     for k in range(g.n + 1):
         for combo in combinations(range(g.n), k):
             if oracle_is_incidence_generator(g, combo):
-                return k
+                return k, frozenset(combo)
     raise AssertionError("V(G) must be a generator")
+
+
+def oracle_dim_I(g):
+    """Smallest generator size by ascending full subset search."""
+    return oracle_dim_I_basis(g)[0]
+
+
+def oracle_is_adjacency_generator(g, s):
+    """Literal pairwise definition: every two distinct vertices outside
+    s have a member of s adjacent to exactly one of them."""
+    s = set(s)
+    outside = [v for v in range(g.n) if v not in s]
+    for i, x in enumerate(outside):
+        for y in outside[i + 1:]:
+            if not any((x in g.adj[w]) != (y in g.adj[w]) for w in s):
+                return False
+    return True
+
+
+def oracle_dim_A(g):
+    """Smallest adjacency generator size and the lexicographically first
+    generator of that size, by ascending subset search."""
+    for k in range(g.n + 1):
+        for combo in combinations(range(g.n), k):
+            if oracle_is_adjacency_generator(g, combo):
+                return k, frozenset(combo)
+    raise AssertionError("V(G) must be an adjacency generator")
+
+
+def oracle_min_hitting_set(n, sets, floor):
+    """First vertex mask in ascending-size combinations order, from
+    size floor on, that meets every mask in sets."""
+    for k in range(floor, n + 1):
+        for combo in combinations(range(n), k):
+            mask = sum(1 << v for v in combo)
+            if all(mask & s for s in sets):
+                return mask
+    raise AssertionError("V must meet every non-empty mask")

@@ -112,6 +112,19 @@ def test_rho_too_deep_is_clean_error(capsys, tmp_path):
     assert "recursion depth" in err
 
 
+def test_internal_error_is_one_line_exit_3(capsys, monkeypatch, p8_file):
+    from incdim import incidence
+
+    def broken(g, rho_res=None):
+        raise AssertionError("structural basis failed\nthe generator check")
+
+    monkeypatch.setattr(incidence, "dim_I_structural", broken)
+    assert main(["dimi", p8_file]) == 3
+    err = capsys.readouterr().err
+    assert err == ("error: internal: AssertionError: structural basis "
+                   "failed the generator check\n")
+
+
 def test_ecritical(capsys, figure1_file):
     code, report = run_json(capsys, ["ecritical", figure1_file, "0", "1"])
     assert code == 0

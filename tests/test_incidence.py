@@ -9,8 +9,8 @@ from incdim import (CLASS_EXACT, CLASS_MINUS_ONE, build_graph,
                     resolves)
 from incdim.corpus import all_labeled_graphs, random_graphs
 
-from .conftest import (oracle_dim_I, oracle_is_incidence_generator,
-                       small_graphs)
+from .conftest import (oracle_dim_I, oracle_dim_I_basis,
+                       oracle_is_incidence_generator, small_graphs)
 
 
 def test_resolves_p3():
@@ -73,6 +73,15 @@ def test_dim_brute_few_edges():
     assert dim_I_brute(build_graph(3, [])).value == 0
     res = dim_I_brute(build_graph(4, [(1, 2)]))
     assert res.value == 0 and res.basis == frozenset()
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs())
+def test_dim_brute_matches_oracle_basis(g):
+    expected = oracle_dim_I_basis(g)
+    for full_search in (True, False):
+        res = dim_I_brute(g, full_search=full_search)
+        assert (res.value, res.basis) == expected
 
 
 def test_dim_brute_full_search_agrees():

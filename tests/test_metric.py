@@ -1,12 +1,62 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from incdim import (build_graph, dim_A, dim_e, dim_I_brute, edge_distance,
                     generate_family, is_adjacency_generator)
 from incdim.graph import INFINITE
 from incdim.corpus import random_graphs
+from incdim.hitting import min_hitting_set
 
-from .conftest import oracle_dim_e, small_graphs
+from .conftest import (oracle_dim_A, oracle_dim_e, oracle_min_hitting_set,
+                       small_graphs)
+
+
+def set_families():
+    """Hypothesis strategy: (n, list of non-empty vertex masks), n <= 8."""
+    return st.integers(1, 8).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(
+            st.integers(1, (1 << n) - 1), max_size=12)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(set_families())
+def test_min_hitting_set_matches_oracle(family):
+    n, sets = family
+    for floor in range(n + 1):
+        assert min_hitting_set(n, sets, floor) == \
+            oracle_min_hitting_set(n, sets, floor)
+
+
+def test_min_hitting_set_examples():
+    assert min_hitting_set(3, []) == 0
+    assert min_hitting_set(3, [], floor=2) == 0b011
+    assert min_hitting_set(4, [0b0011, 0b1100]) == 0b0101
+    # {0, 1} comes before {1, 2} and {2, 3} in combinations order
+    assert min_hitting_set(4, [0b0110, 0b1010, 0b0101]) == 0b0011
+    assert min_hitting_set(4, [0b0110, 0b1100]) == 0b0100
+    assert min_hitting_set(4, [0b1000], floor=3) == 0b1011
+
+
+def test_min_hitting_set_rejects_bad_input():
+    for sets, floor in (([0], 0), ([0b1000], 0), ([-1], 0), ([1], 4),
+                        ([1], -1)):
+        with pytest.raises(ValueError):
+            min_hitting_set(3, sets, floor)
+
+
+def test_min_hitting_set_needs_no_recursion():
+    # 1,500 singletons force every vertex in; a search that recursed
+    # once per vertex would exceed the default recursion limit.
+    n = 1500
+    assert min_hitting_set(n, [1 << i for i in range(n)]) == (1 << n) - 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs())
+def test_dim_A_matches_oracle(g):
+    res = dim_A(g)
+    assert (res.value, res.basis) == oracle_dim_A(g)
 
 
 def test_adjacency_generator_examples():
@@ -59,6 +109,18 @@ def test_dim_e_examples():
                 continue
             assert dim_e(
                 generate_family("complete_bipartite", r, t)).value == r + t - 2
+
+
+def test_dim_e_long_distances_match_oracle():
+    # Paths, and cycles beside a separate edge, reach edge distances up
+    # to n - 2, so distance slices of every depth must survive the fold
+    # into one mask.
+    graphs = [generate_family("path", n) for n in range(2, 11)]
+    graphs += [build_graph(n + 2, [(i, (i + 1) % n) for i in range(n)]
+                           + [(n, n + 1)]) for n in range(3, 11)]
+    for g in graphs:
+        res = dim_e(g)
+        assert (res.value, res.basis) == oracle_dim_e(g)
 
 
 @settings(max_examples=100, deadline=None)
