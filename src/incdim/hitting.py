@@ -18,19 +18,17 @@ no vertex left above the last choice (sorting puts the mask with the
 smallest top vertex lowest), or when the unhit masks hold more
 pairwise-disjoint members above the last choice than picks remain.
 
-Memory is the deduplicated family (at most one mask per pair: O(m^2)
-masks for dim_I_brute and dim_e, O(n^2) for dim_A) plus n transposed
-bitmasks of one bit per mask.
+The family may be any iterable; memory is its distinct masks (at most
+one n-bit mask per pair: O(m^2 n) bits for dim_I_brute and dim_e,
+O(n^3) for dim_A) and a transposed copy of the same size.
 """
 from __future__ import annotations
 
-import sys
-from array import array
 from itertools import repeat
 
 # _COLUMN[b][x] is the ASCII digit of bit b of byte x, so translating
 # the b-th bit plane of the byte rows gives a base-2 numeral.
-_COLUMN = tuple(bytes(b"01"[x >> b & 1] for x in range(256))
+_COLUMN = tuple((b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b)
                 for b in range(8))
 
 
@@ -67,15 +65,9 @@ def min_hitting_set(n, sets, floor=0):
     full = (1 << n) - 1
     # One little-endian row of bytes per mask, the last mask first, so
     # that byte plane v >> 3, bit v & 7, read as a numeral is hits[v].
-    if n <= 64:
-        rows, width = array("Q", sets[::-1]), 8
-        if sys.byteorder == "big":
-            rows.byteswap()
-        rows = rows.tobytes()
-    else:
-        width = (n + 7) >> 3
-        rows = b"".join(map(int.to_bytes, reversed(sets), repeat(width),
-                            repeat("little")))
+    width = (n + 7) >> 3
+    rows = b"".join(map(int.to_bytes, reversed(sets), repeat(width),
+                        repeat("little")))
     hits = [int(rows[v >> 3::width].translate(_COLUMN[v & 7]), 2)
             for v in range(n)]
     everything = (1 << len(sets)) - 1
@@ -115,19 +107,6 @@ def min_hitting_set(n, sets, floor=0):
                         if not rest & ~hits[v]:
                             return chosen | 1 << c | 1 << v
                         top &= top - 1
-                elif spare == 1:
-                    # Exactly one vertex above c stays out: the latest
-                    # one whose absence leaves every mask hit.
-                    above = [0] * (n + 1)
-                    for v in range(n - 1, c, -1):
-                        above[v] = above[v + 1] | hits[v]
-                    below, out = 0, -1
-                    for v in range(start, n):
-                        if not rest & ~(below | above[v + 1]):
-                            out = v
-                        below |= hits[v]
-                    if out >= 0:
-                        return (chosen | full >> c << c) ^ 1 << out
                 elif (rest.bit_count() <= picks
                       or _disjoint(sets, hits, rest, start, picks) <= picks):
                     stack.append((start, last, j, unhit, chosen))

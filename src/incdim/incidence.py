@@ -84,7 +84,7 @@ def dim_I_brute(g, full_search=False):
     order).  By default the search starts at n - rho - 1, the lower
     side of the packing-number sandwich; full_search starts from size
     0 and assumes nothing, for oracle-grade independence.  Memory is
-    O(m^2) pair masks.
+    the distinct pair masks, at most m(m-1)/2 of n bits.
     """
     if g.m <= 1:
         return DimResult(value=0, basis=frozenset(), method="brute")

@@ -8,9 +8,9 @@ combinations(range(n), k) order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import combinations, repeat, starmap
-from operator import and_, or_, rshift, xor
+from functools import partial, reduce
+from itertools import combinations, starmap
+from operator import or_, xor
 
 from .graph import _mask_to_set, _normalize_edge
 from .hitting import min_hitting_set
@@ -45,7 +45,8 @@ def dim_A(g):
     """Minimum-cardinality adjacency generator.
 
     S is one iff it meets {x, y} | (N(x) ^ N(y)) for every pair of
-    vertices x, y; memory is O(n^2) pair masks.
+    vertices x, y; memory is the distinct pair masks, at most
+    n(n-1)/2 of n bits.
     """
     pairs = map(or_, starmap(xor, combinations(g.adj_masks, 2)),
                 starmap(or_, combinations([1 << v for v in range(g.n)], 2)))
@@ -65,37 +66,53 @@ def edge_distance(g, v, e):
 
 def _edge_separators(g):
     """For every pair of edges, the mask of vertices at different
-    distances from the two.
+    distances from the two, as an iterator.
 
-    Slice d (bits d*n .. d*n + n - 1) of a vertex key is its ball of
-    radius d, grown over adjacency masks until it stops growing; an
-    edge's key is the union of its endpoints' keys, so slice d holds
-    the vertices within distance d of the edge, and unreachable
-    vertices are in no slice.  Two edges are at different distances
-    from x iff some slice of their keys differs at x, so OR-folding
-    the slices of key(e) ^ key(f) onto slice 0 gives the pair's mask.
+    Vertex balls of radius 0, 1, ... are grown over adjacency masks;
+    the union of an edge's endpoint balls of radius d holds the
+    vertices within distance d of the edge.  planes[b][i] holds the
+    vertices whose distance to edge i has bit b set, and vertices out
+    of reach of edge i take a distance no reachable vertex has.  Two
+    edges are at different distances from x iff some plane of the two
+    differs at x, so a pair's mask is the OR over b of
+    planes[b][e] ^ planes[b][f]; each pair costs one n-bit mask and
+    the planes O(m n log n) bits.
     """
-    n = g.n
+    if g.m < 2:
+        return ()
+    n, (us, ws) = g.n, zip(*g.sorted_edges)
     nbrs = [[] for _ in range(n)]
     for u, w in g.edges:
         nbrs[u].append(w)
         nbrs[w].append(u)
     ball = [1 << v for v in range(n)]
-    keys, slices = ball, 1
+    planes, seen, d = [], [0] * g.m, 0
     while True:
-        grown = [reduce(or_, map(ball.__getitem__, nb), ball[v])
-                 for v, nb in enumerate(nbrs)]
-        if grown == ball:
+        near = list(map(or_, map(ball.__getitem__, us),
+                        map(ball.__getitem__, ws)))
+        if near == seen:
             break
-        keys = [key | b << slices * n for key, b in zip(keys, grown)]
-        ball = grown
-        slices += 1
-    diffs = list(starmap(xor, combinations(
-        [keys[u] | keys[w] for u, w in g.sorted_edges], 2)))
-    while slices > 1:
-        slices = (slices + 1) // 2
-        diffs = list(map(or_, diffs, map(rshift, diffs, repeat(slices * n))))
-    return map(and_, diffs, repeat((1 << n) - 1))
+        _add_layer(planes, d, list(map(xor, near, seen)))
+        ball = [reduce(or_, map(ball.__getitem__, nb), ball[v])
+                for v, nb in enumerate(nbrs)]
+        seen, d = near, d + 1
+    full = (1 << n) - 1
+    if any(x != full for x in seen):
+        _add_layer(planes, d, [full ^ x for x in seen])
+    return reduce(partial(map, or_),
+                  [starmap(xor, combinations(p, 2)) for p in planes])
+
+
+def _add_layer(planes, d, layer):
+    """OR the vertices at distance d from each edge into the planes of
+    d's set bits; d counts up from 0, so a new top bit is the next
+    plane."""
+    for b in range(d.bit_length()):
+        if d >> b & 1:
+            if b < len(planes):
+                planes[b] = list(map(or_, planes[b], layer))
+            else:
+                planes.append(layer)
 
 
 def dim_e(g):
@@ -103,7 +120,9 @@ def dim_e(g):
     definition, so the value is at least 1).
 
     S is one iff it meets, for every pair of edges, the set of vertices
-    at different distances from the two; memory is O(m^2) pair masks.
+    at different distances from the two; memory is the distinct pair
+    masks, at most m(m-1)/2 of n bits, and O(m n log n) bits of
+    distance planes.
     """
     if g.m == 0:
         raise ValueError("no edges")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,14 +115,28 @@ def test_dim_e_examples():
 
 def test_dim_e_long_distances_match_oracle():
     # Paths, and cycles beside a separate edge, reach edge distances up
-    # to n - 2, so distance slices of every depth must survive the fold
-    # into one mask.
+    # to n - 2, so every bit plane of the distances, and the plane of
+    # out-of-reach vertices, must reach the pair masks.
     graphs = [generate_family("path", n) for n in range(2, 11)]
     graphs += [build_graph(n + 2, [(i, (i + 1) % n) for i in range(n)]
                            + [(n, n + 1)]) for n in range(3, 11)]
     for g in graphs:
         res = dim_e(g)
         assert (res.value, res.basis) == oracle_dim_e(g)
+
+
+def test_dim_e_long_path_stays_small():
+    # Edge distances on P_120 reach 118; each edge pair must cost one
+    # n-bit mask, not one slice per distance.
+    g = generate_family("path", 120)
+    tracemalloc.start()
+    try:
+        res = dim_e(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.value, res.basis) == (1, frozenset({0}))
+    assert peak < 2 << 20
 
 
 @settings(max_examples=100, deadline=None)
