@@ -3,13 +3,17 @@
 Commands: dimi, rho, ecritical, dima, dime, classify, gen, reduce,
 extract, verify.  Default output is aligned plain text; --json emits a
 machine-readable report.  Exit status is 1 on a failed check, 2 on
-bad input or a search too large to run (one `error:` line on stderr),
+bad input or an exceeded witness cap (one `error:` line on stderr),
 and 3 on an unexpected internal error (one `error: internal:` line
 naming the exception, no traceback).
+
+The argument parser is built on the first `main` call and reused by
+every later call in the process; parsing keeps no state between calls.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -234,6 +238,7 @@ def cmd_verify(args):
     return _report("verify", inputs, results, checks)
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="incdim",
@@ -321,11 +326,6 @@ def main(argv=None):
         report = args.func(args)
     except (ValueError, OSError, packing.WitnessCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # The exact searches recurse once per branching vertex.
-        print("error: graph exceeds the exact search's recursion depth "
-              f"(limit {sys.getrecursionlimit()})", file=sys.stderr)
         return 2
     except Exception as exc:
         message = " ".join(str(exc).split())

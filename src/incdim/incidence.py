@@ -46,32 +46,36 @@ def resolves(g, x, e, f):
     return (x in e) != (x in f)
 
 
-def _is_generator_mask(edge_masks, smask):
-    # Two edges are unresolved by S exactly when their endpoint sets
-    # intersected with S coincide, so S is a generator iff the map
-    # e -> e & S is injective over edges.
-    seen = set()
-    for em in edge_masks:
-        sig = em & smask
-        if sig in seen:
-            return False
-        seen.add(sig)
-    return True
-
-
 def _edge_masks(g):
     return [(1 << u) | (1 << v) for u, v in g.sorted_edges]
 
 
 def is_incidence_generator(g, s):
     """True iff every pair of distinct edges is resolved by some vertex
-    of s."""
+    of s.
+
+    Two edges are unresolved exactly when they meet s in the same set:
+    both miss s, or both meet it only in one vertex x.  So s is a
+    generator iff G - s has at most one edge and every vertex of s has
+    at most one neighbour outside s.
+    """
     smask = 0
     for v in s:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex out of range: {v}")
         smask |= 1 << v
-    return _is_generator_mask(_edge_masks(g), smask)
+    rest = ((1 << g.n) - 1) ^ smask
+    ends = 0    # edges of G - s counted from both ends
+    for v, nbrs in enumerate(g.adj_masks):
+        outside = (nbrs & rest).bit_count()
+        if smask >> v & 1:
+            if outside > 1:
+                return False
+        else:
+            ends += outside
+            if ends > 2:
+                return False
+    return True
 
 
 def dim_I_brute(g, full_search=False):

@@ -88,62 +88,44 @@ def _cover_size(balls, cands, limit):
     return count
 
 
-def _search_max(balls, cands, floor):
-    """Largest conflict-free subset of cands, if it has more than floor
-    vertices.
+def _search(balls, cands, floor, cap=None):
+    """Conflict-free subsets of cands with more than floor vertices.
 
     balls[v] is the bitmask of v plus every vertex conflicting with v.
-    Returns the lexicographically smallest such subset of maximum size
-    as a mask, or None when no subset beats floor (floor = -1 always
-    yields a set, possibly the empty one).
+    The search branches include-first on the lowest candidate, on an
+    explicit stack, so its depth is not bounded by the interpreter's
+    recursion limit.  Subsets are masks.  Without a cap it returns a
+    one-element list holding the lexicographically smallest subset of
+    maximum size, or [] when no subset beats floor (floor = -1 always
+    yields a set, possibly the empty one).  With a cap it returns every
+    subset of exactly floor + 1 vertices in lexicographic order, raising
+    WitnessCapExceeded once there are more than cap of them.
     """
-    best_size = floor
-    best_mask = None
-
-    def dfs(cur, size, cands):
-        nonlocal best_size, best_mask
-        if cands == 0:
-            if size > best_size:
-                best_size, best_mask = size, cur
-            return
-        room = cands.bit_count()
-        if size + room <= best_size:
-            return
-        limit = best_size - size
-        if _cover_size(balls, cands, limit) <= limit:
-            return
-        low = cands & -cands
-        v = low.bit_length() - 1
-        dfs(cur | low, size + 1, cands & ~balls[v])
-        dfs(cur, size, cands & ~low)
-
-    dfs(0, 0, cands)
-    return best_mask
-
-
-def _enumerate_size(balls, n, target, cap):
-    """All conflict-free subsets of exactly the given size, ascending
-    lexicographic order."""
+    need = floor + 1    # size a subset must reach to be reported
     found = []
-
-    def dfs(cur, size, cands):
-        if size == target:
+    stack = [(0, 0, cands)]
+    while stack:
+        cur, size, cands = stack.pop()
+        if cap is not None and size == need:
             found.append(cur)
             if len(found) > cap:
                 raise WitnessCapExceeded(
                     f"witness cap exceeded: more than {cap} maximum packings")
-            return
-        if size + cands.bit_count() < target:
-            return
-        limit = target - size - 1
+            continue
+        if cands == 0:
+            if size >= need:
+                found, need = [cur], size + 1
+            continue
+        limit = need - size - 1
+        if cands.bit_count() <= limit:
+            continue
         if _cover_size(balls, cands, limit) <= limit:
-            return
+            continue
         low = cands & -cands
-        v = low.bit_length() - 1
-        dfs(cur | low, size + 1, cands & ~balls[v])
-        dfs(cur, size, cands & ~low)
-
-    dfs(0, 0, (1 << n) - 1)
+        # Pushed last, the branch holding the lowest candidate runs first.
+        stack.append((cur, size, cands ^ low))
+        stack.append((cur | low, size + 1,
+                      cands & ~balls[low.bit_length() - 1]))
     return found
 
 
@@ -154,11 +136,12 @@ def max_packing(g, enumerate_all=False, witness_cap=DEFAULT_WITNESS_CAP):
     With enumerate_all, all_witnesses lists every maximum packing (in
     lexicographic order), guarded by witness_cap.
     """
-    mask = _search_max(g.ball2_masks, (1 << g.n) - 1, -1)
+    balls, cands = g.ball2_masks, (1 << g.n) - 1
+    (mask,) = _search(balls, cands, -1)
     size = mask.bit_count()
     witnesses = None
     if enumerate_all:
-        masks = _enumerate_size(g.ball2_masks, g.n, size, witness_cap)
+        masks = _search(balls, cands, size - 1, witness_cap)
         witnesses = tuple(_mask_to_set(m) for m in masks)
     return PackingResult(size=size, witness=_mask_to_set(mask),
                          all_witnesses=witnesses)
@@ -172,8 +155,8 @@ def _with_endpoints(g, u, v, floor):
         return None
     balls = g.ball2_masks
     cands = ((1 << g.n) - 1) & ~(balls[u] | balls[v])
-    rest = _search_max(balls, cands, floor - 2)
-    return None if rest is None else rest | (1 << u) | (1 << v)
+    rest = _search(balls, cands, floor - 2)
+    return rest[0] | (1 << u) | (1 << v) if rest else None
 
 
 def e_critical_packing(g, e, rho_res=None):

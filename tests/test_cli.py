@@ -1,9 +1,11 @@
+import argparse
 import io
 import json
 
 import pytest
 
 from incdim import generate_family, write_edge_list
+from incdim import cli
 from incdim.cli import main
 
 
@@ -102,14 +104,49 @@ def test_back_to_back_calls_share_no_options(capsys, figure1_file):
     assert report["results"]["method"] == "structural"
 
 
-def test_rho_too_deep_is_clean_error(capsys, tmp_path):
-    # The include-first search on an edgeless graph recurses once per vertex.
+def test_rho_needs_no_recursion(capsys, tmp_path):
+    # The include-first search takes one branch per vertex: 1500 levels
+    # deep here, beyond the default recursion limit.
     path = tmp_path / "edgeless.txt"
     path.write_text("1500 0\n")
-    assert main(["rho", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "recursion depth" in err
+    code, report = run_json(capsys, ["rho", str(path)])
+    assert code == 0
+    assert report["results"]["rho"] == 1500
+    assert report["results"]["witness"] == list(range(1500))
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch, figure1_file):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    try:
+        assert main(["rho", figure1_file]) == 0
+        tree = len(built)
+        for argv in (["--json", "rho", figure1_file, "--all"],
+                     ["dimi", figure1_file], ["classify", figure1_file]):
+            assert main(argv) == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert tree > 1 and len(built) == tree
+
+
+def test_usage_error_leaves_next_call_correct(capsys, figure1_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["rho"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: graph" in \
+        capsys.readouterr().err
+    code, report = run_json(capsys, ["rho", figure1_file, "--all"])
+    assert code == 0
+    assert report["inputs"] == {"graph": figure1_file}
+    assert report["results"]["rho"] == 2
+    assert [0, 3] in report["results"]["all_witnesses"]
 
 
 def test_internal_error_is_one_line_exit_3(capsys, monkeypatch, p8_file):

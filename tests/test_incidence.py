@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from incdim import (CLASS_EXACT, CLASS_MINUS_ONE, build_graph,
                     check_symdiff_condition, classify,
@@ -46,19 +47,13 @@ def test_packing_complement_is_generator():
             assert is_incidence_generator(g, frozenset(range(g.n)) - p)
 
 
-def test_signature_scheme_matches_literal_definition():
-    # the injective-signature implementation against the pairwise oracle
-    for n in (2, 3, 4):
-        for g in all_labeled_graphs(n):
-            for smask in range(1 << n):
-                s = {v for v in range(n) if (smask >> v) & 1}
-                assert is_incidence_generator(g, s) == \
-                    oracle_is_incidence_generator(g, s)
-    for g in random_graphs(7, 30, seed=41):
-        for smask in range(0, 1 << 7, 5):
-            s = {v for v in range(7) if (smask >> v) & 1}
-            assert is_incidence_generator(g, s) == \
-                oracle_is_incidence_generator(g, s)
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), st.data())
+def test_generator_test_matches_literal_definition(g, data):
+    # the two-condition test (G - S has at most one edge, no vertex of S
+    # has two neighbours outside S) against the pairwise oracle
+    s = data.draw(st.sets(st.integers(0, g.n - 1)))
+    assert is_incidence_generator(g, s) == oracle_is_incidence_generator(g, s)
 
 
 def test_dim_brute_examples(figure1):
