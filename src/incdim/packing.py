@@ -6,11 +6,18 @@ conflict graph.  The solver is a deterministic include-first
 branch-and-bound over vertices in ascending order, so the reported
 witness is always the lexicographically smallest maximum set.
 
-At every node the bound is a greedy clique cover of the conflict graph
-restricted to the remaining candidates, recomputed for that node (the
+The bound is a greedy clique cover of the conflict graph (the
 colouring bound of MCQ/BBMC max-clique solvers, applied to the
-complement).  It prunes only subtrees that cannot beat the incumbent,
-so it changes no witness and no enumeration order.
+complement), built top down: each clique starts at the highest
+uncovered candidate.  A node that still needs k more vertices builds
+one cover of k - 1 cliques and keeps the highest candidate they leave
+over.  Every candidate above it lies in those cliques, so once the
+branch vertex passes it, no set in the rest of the node's exclude
+chain can reach k, and the whole chain is pruned.  The cover is built
+only for a new candidate set (an include child) or when the incumbent
+has raised k; the exclude children inherit it.  The bound prunes only
+subtrees that cannot beat the incumbent, so it changes no witness and
+no enumeration order.
 
 e-critical packings are decided on G's own conflict balls; G - e is
 never built.  For e = uv, a set larger than rho(G) must hold both u
@@ -65,27 +72,27 @@ def is_packing(g, p):
     return True
 
 
-def _cover_size(balls, cands, limit):
-    """Size of a greedy clique cover of the conflict graph on cands.
+def _chain_top(balls, cands, limit):
+    """Highest candidate left over by a top-down greedy clique cover of
+    the conflict graph on cands with at most limit cliques, or -1.
 
-    Each clique starts at the lowest uncovered candidate and grows with
-    the lowest candidate conflicting with all its members.  A clique
-    holds at most one vertex of any packing, so the count bounds the
-    packings inside cands.  Counting stops once it exceeds limit: the
-    caller prunes only when the result is at most limit.
+    Each clique starts at the highest uncovered candidate and grows with
+    the highest candidate conflicting with all its members.  A clique
+    holds at most one vertex of any packing, so every subset of cands
+    above the returned vertex holds at most limit vertices of a packing.
     """
-    count = 0
-    while cands and count <= limit:
-        count += 1
-        low = cands & -cands
-        cands ^= low
-        grow = balls[low.bit_length() - 1] & cands
+    while cands and limit > 0:
+        limit -= 1
+        v = cands.bit_length() - 1
+        cands ^= 1 << v
+        grow = balls[v] & cands
         while grow:
-            low = grow & -grow
-            cands ^= low
-            grow &= balls[low.bit_length() - 1]
-            grow ^= low
-    return count
+            v = grow.bit_length() - 1
+            bit = 1 << v
+            cands ^= bit
+            grow &= balls[v]
+            grow ^= bit
+    return cands.bit_length() - 1
 
 
 def _search(balls, cands, floor, cap=None):
@@ -100,12 +107,23 @@ def _search(balls, cands, floor, cap=None):
     yields a set, possibly the empty one).  With a cap it returns every
     subset of exactly floor + 1 vertices in lexicographic order, raising
     WitnessCapExceeded once there are more than cap of them.
+
+    An exclude entry on the stack carries the chain bound of its
+    parent: top, from _chain_top on a superset of its candidates, and
+    the need it was computed for.  The bound is recomputed only when
+    need has risen since, and the chain ends once its branch vertex is
+    above top.  The chain's candidate sets are suffixes of the set top
+    was computed on, and the first cliques of a suffix's top-down cover
+    are those of the whole set, restricted.  So a recomputed top is
+    never higher, and an exclude entry with no candidate up to top is
+    never pushed (an empty one could not beat its include sibling).
     """
     need = floor + 1    # size a subset must reach to be reported
     found = []
-    stack = [(0, 0, cands)]
+    # at: the need that top was computed for, None on a new candidate set
+    stack = [(0, 0, cands, -1, None)]
     while stack:
-        cur, size, cands = stack.pop()
+        cur, size, cands, top, at = stack.pop()
         if cap is not None and size == need:
             found.append(cur)
             if len(found) > cap:
@@ -119,13 +137,17 @@ def _search(balls, cands, floor, cap=None):
         limit = need - size - 1
         if cands.bit_count() <= limit:
             continue
-        if _cover_size(balls, cands, limit) <= limit:
-            continue
+        if at != need:
+            top, at = _chain_top(balls, cands, limit), need
         low = cands & -cands
+        v = low.bit_length() - 1
+        if v > top:
+            continue
+        rest = cands ^ low
+        if rest & ((2 << top) - 1):     # else the chain ends here
+            stack.append((cur, size, rest, top, at))
         # Pushed last, the branch holding the lowest candidate runs first.
-        stack.append((cur, size, cands ^ low))
-        stack.append((cur | low, size + 1,
-                      cands & ~balls[low.bit_length() - 1]))
+        stack.append((cur | low, size + 1, cands & ~balls[v], -1, None))
     return found
 
 
@@ -194,7 +216,13 @@ def e_critical_packing(g, e, rho_res=None):
     )
 
 
-def has_unique_max_packing(g, witness_cap=DEFAULT_WITNESS_CAP):
-    """True iff g has exactly one maximum 2-packing."""
-    res = max_packing(g, enumerate_all=True, witness_cap=witness_cap)
-    return len(res.all_witnesses) == 1
+def has_unique_max_packing(g):
+    """True iff g has exactly one maximum 2-packing.
+
+    The enumeration stops at the second maximum packing it finds.
+    """
+    try:
+        max_packing(g, enumerate_all=True, witness_cap=1)
+    except WitnessCapExceeded:
+        return False
+    return True

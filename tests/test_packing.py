@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from incdim import (WitnessCapExceeded, build_graph, build_reduction,
                     generate_family, has_unique_max_packing, is_packing,
                     max_packing, remove_edge)
 from incdim.corpus import all_labeled_graphs, random_graphs
-from incdim.packing import _cover_size, _mask_to_set
+from incdim.packing import _chain_top, _mask_to_set, _search
 
 from .conftest import (oracle_e_critical_size, oracle_e_critical_witness,
                        oracle_is_packing, oracle_max_packings, small_graphs)
@@ -80,14 +81,42 @@ def test_witness_is_lexicographically_smallest():
 @settings(max_examples=150, deadline=None)
 @given(small_graphs().flatmap(
     lambda g: st.tuples(st.just(g), st.integers(0, (1 << g.n) - 1))))
-def test_cover_size_bounds_packings_within_candidates(case):
+def test_chain_top_bounds_every_suffix(case):
+    # The candidates above the returned vertex lie in limit cliques, so
+    # every suffix of cands starting above it holds at most limit
+    # packing vertices.
     g, cands = case
-    best, _ = oracle_max_packings(g, within=_mask_to_set(cands))
-    for limit in range(-1, g.n + 1):
-        cover = _cover_size(g.ball2_masks, cands, limit)
-        assert cover <= cands.bit_count()
-        if best > limit:
-            assert cover > limit
+    suffix_best = [
+        oracle_max_packings(g, within=_mask_to_set(cands >> v << v))[0]
+        for v in range(g.n + 1)]
+    for limit in range(g.n + 1):
+        top = _chain_top(g.ball2_masks, cands, limit)
+        assert top == -1 or cands >> top & 1
+        assert all(best <= limit for best in suffix_best[top + 1:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(), st.data())
+def test_search_order_matches_oracle(g, data):
+    # The witness is the lexicographically smallest maximum packing and
+    # the enumeration lists every maximum packing in that order, also
+    # on a restricted candidate set above a floor.
+    _, packs = oracle_max_packings(g)
+    packs.sort(key=sorted)
+    res = max_packing(g, enumerate_all=True)
+    assert res.witness == packs[0]
+    assert list(res.all_witnesses) == packs
+    cands = data.draw(st.integers(0, (1 << g.n) - 1), label="cands")
+    floor = data.draw(st.integers(-1, g.n), label="floor")
+    within = _mask_to_set(cands)
+    best, inside = oracle_max_packings(g, within=within)
+    expected = [min(inside, key=sorted)] if best > floor else []
+    assert [_mask_to_set(m)
+            for m in _search(g.ball2_masks, cands, floor)] == expected
+    expected = [frozenset(c) for c in combinations(sorted(within), floor + 1)
+                if oracle_is_packing(g, c)]
+    assert [_mask_to_set(m) for m in
+            _search(g.ball2_masks, cands, floor, len(expected))] == expected
 
 
 def test_max_packing_matches_oracle_exhaustive():
@@ -96,7 +125,7 @@ def test_max_packing_matches_oracle_exhaustive():
             size, packs = oracle_max_packings(g)
             res = max_packing(g, enumerate_all=True)
             assert res.size == size
-            assert set(res.all_witnesses) == set(packs)
+            assert list(res.all_witnesses) == sorted(packs, key=sorted)
 
 
 def test_max_packing_matches_oracle_random():
@@ -221,3 +250,7 @@ def test_unique_max_packing():
     # P_4 and P_7 force the endpoints-and-every-third packing uniquely
     assert has_unique_max_packing(generate_family("path", 4))
     assert has_unique_max_packing(generate_family("path", 7))
+    # 13 disjoint triangles have 3^13 maximum packings; two decide it.
+    edges = [(3 * i + a, 3 * i + b) for i in range(13)
+             for a, b in ((0, 1), (1, 2), (0, 2))]
+    assert not has_unique_max_packing(build_graph(39, edges))

@@ -222,11 +222,12 @@ def random_3cnf(num_vars, num_clauses, seed):
     return CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
 
 
-# Seeded formulas near the satisfiability threshold, n = 252..354
+# Seeded formulas near the satisfiability threshold, n = 252..666
 # vertices, with both outcomes among them.
 SCALE_FORMULAS = [random_3cnf(num_vars, num_clauses, seed)
-                  for num_vars, num_clauses in ((6, 24), (7, 28), (8, 34))
-                  for seed in range(8)]
+                  for num_vars, num_clauses, seeds in
+                  ((6, 24, 8), (7, 28, 8), (8, 34, 8), (15, 64, 3))
+                  for seed in range(seeds)]
 
 
 def test_reduction_scale_packing_decides_sat():
