@@ -195,10 +195,13 @@ def cmd_extract(args):
     if args.set.endswith(".json"):
         with open(args.set) as fh:
             members = json.load(fh)
+        if not (isinstance(members, list)
+                and all(type(v) is int for v in members)):
+            raise ValueError(f"{args.set}: not a JSON list of vertex indices")
     else:
         members = [int(x) for x in args.set.split(",") if x.strip()]
-    t = reduction.basis_to_assignment(red, frozenset(members))
-    claims = reduction.verify_claims(red, frozenset(members))
+    t = reduction.basis_to_assignment(red, members)
+    claims = reduction.verify_claims(red, members)
     results = {"assignment": {f"u_{i}": t[i] for i in sorted(t)},
                "satisfies_formula": True,
                "truth_gadget_counts": claims["truth_gadgets"],

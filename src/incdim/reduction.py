@@ -7,16 +7,28 @@ edges from the port representing the value that falsifies it.  The
 threshold is r = 4n + 8m: the formula is satisfiable exactly when the
 graph has an incidence generator of that size (equivalently, a
 2-packing of size 2n + m).
+
+Vertex layout, for n variables: truth gadget i occupies 6(i - 1) +
+{0..5} for x_i, y_i, z_i, w_i, T_i, F_i; clause gadget j, position k
+occupies 6n + 9(j - 1) + 3(k - 1) + {0, 1, 2} for a_j^k, b_j^k, c_j^k
+(i, j, k from 1).  `ReductionOutput.labels` names them on first read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .graph import build_graph
+from .graph import Graph
 from .incidence import is_incidence_generator
 
 TRUTH_GADGET_SIZE = 6
 CLAUSE_GADGET_SIZE = 9
+_T, _F = 4, 5                     # port offsets within a truth gadget
+# Gadget edges as offsets (u < v) from the gadget's first vertex.
+_TRUTH_EDGES = ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5))
+_CLAUSE_EDGES = ((0, 3), (3, 6), (0, 6), (1, 4), (4, 7), (1, 7),
+                 (2, 5), (5, 8), (2, 8), (0, 1), (1, 2), (0, 2),
+                 (3, 4), (4, 5), (3, 5), (6, 7), (7, 8), (6, 8))
 
 
 @dataclass(frozen=True)
@@ -33,14 +45,17 @@ class CnfFormula:
 class ReductionOutput:
     graph: object
     r: int
-    labels: dict              # structured name -> vertex index
     communication_edges: tuple
     formula: CnfFormula
 
+    @cached_property
+    def labels(self):
+        """Structured name -> vertex index, in the module's layout."""
+        return _gadget_labels(self.formula)
+
     @property
     def names(self):
-        inv = {v: k for k, v in self.labels.items()}
-        return tuple(inv[i] for i in range(self.graph.n))
+        return tuple(self.labels)      # labels are in vertex order
 
 
 def _validate_clause(lits, lineno=None):
@@ -123,35 +138,30 @@ def _gadget_labels(f):
 
 def build_reduction(f):
     """Compile a 3-CNF formula into its incidence-dimension instance."""
-    for cl in f.clauses:
-        _validate_clause(cl)
-    lab = _gadget_labels(f)
-    edges = []
-    for i in range(1, f.num_vars + 1):
-        x, y, z, w, t, fa = (lab[f"{s}_{i}"] for s in ("x", "y", "z",
-                                                       "w", "T", "F"))
-        edges += [(x, y), (x, z), (y, z), (y, w), (z, w),
-                  (w, t), (w, fa), (t, fa)]
-    for j in range(1, len(f.clauses) + 1):
-        a = [lab[f"a_{j}^{k}"] for k in (1, 2, 3)]
-        b = [lab[f"b_{j}^{k}"] for k in (1, 2, 3)]
-        c = [lab[f"c_{j}^{k}"] for k in (1, 2, 3)]
-        for row in (a, b, c):                       # triangles within rows
-            edges += [(row[0], row[1]), (row[1], row[2]), (row[2], row[0])]
-        for k in range(3):                          # column triangles
-            edges += [(a[k], b[k]), (b[k], c[k]), (c[k], a[k])]
+    nv = f.num_vars
+    if nv < 0:
+        raise ValueError("vertex count must be non-negative")
+    clause_base = TRUTH_GADGET_SIZE * nv
+    n = clause_base + CLAUSE_GADGET_SIZE * len(f.clauses)
+    edges = [(base + u, base + v)
+             for base in range(0, clause_base, TRUTH_GADGET_SIZE)
+             for u, v in _TRUTH_EDGES]
+    edges += [(base + u, base + v)
+              for base in range(clause_base, n, CLAUSE_GADGET_SIZE)
+              for u, v in _CLAUSE_EDGES]
     comm = []
-    for j, clause in enumerate(f.clauses, start=1):
-        for k, lit in enumerate(clause, start=1):
+    for base, clause in zip(range(clause_base + 1, n, CLAUSE_GADGET_SIZE),
+                            f.clauses):
+        _validate_clause(clause)
+        for b, lit in zip((base, base + 3, base + 6), clause):
             i = abs(lit)
-            port = lab[f"F_{i}"] if lit > 0 else lab[f"T_{i}"]
-            comm.append((port, lab[f"b_{j}^{k}"]))
-            comm.append((port, lab[f"c_{j}^{k}"]))
-    n_vertices = (TRUTH_GADGET_SIZE * f.num_vars
-                  + CLAUSE_GADGET_SIZE * len(f.clauses))
-    graph = build_graph(n_vertices, edges + comm)
-    return ReductionOutput(graph=graph, r=f.threshold(), labels=lab,
-                           communication_edges=tuple(comm), formula=f)
+            if not 0 < i <= nv:
+                raise ValueError(f"literal {lit} out of range 1..{nv}")
+            port = TRUTH_GADGET_SIZE * (i - 1) + (_F if lit > 0 else _T)
+            comm += ((port, b), (port, b + 1))     # to b_j^k and c_j^k
+    return ReductionOutput(graph=Graph(n, frozenset(edges + comm)),
+                           r=f.threshold(), communication_edges=tuple(comm),
+                           formula=f)
 
 
 def _check_assignment(f, t):
@@ -170,21 +180,18 @@ def assignment_to_generator(red, t):
     if bad:
         raise ValueError(f"assignment not satisfying: clause {bad} "
                          f"{f.clauses[bad - 1]}")
-    lab = red.labels
     s = set()
-    for i in range(1, f.num_vars + 1):
-        s.update(lab[f"{name}_{i}"] for name in ("y", "z", "w"))
-        s.add(lab[f"F_{i}"] if t[i] else lab[f"T_{i}"])
-    for j, clause in enumerate(f.clauses, start=1):
-        for k in (1, 2, 3):
-            s.add(lab[f"b_{j}^{k}"])
-            s.add(lab[f"c_{j}^{k}"])
+    for i in range(1, f.num_vars + 1):        # y_i, z_i, w_i and a port
+        base = TRUTH_GADGET_SIZE * (i - 1)
+        s.update((base + 1, base + 2, base + 3, base + (_F if t[i] else _T)))
+    for base, clause in zip(range(TRUTH_GADGET_SIZE * f.num_vars,
+                                  red.graph.n, CLAUSE_GADGET_SIZE),
+                            f.clauses):
+        s.update(base + off for off in (1, 2, 4, 5, 7, 8))   # b's and c's
         # smallest satisfying literal position stays out of S
-        sat_k = next(k for k, lit in enumerate(clause, start=1)
+        sat_k = next(k for k, lit in enumerate(clause)
                      if t[abs(lit)] == (lit > 0))
-        for k in (1, 2, 3):
-            if k != sat_k:
-                s.add(lab[f"a_{j}^{k}"])
+        s.update(base + 3 * k for k in range(3) if k != sat_k)
     result = frozenset(s)
     assert len(result) == red.r
     if not is_incidence_generator(red.graph, result):
@@ -200,8 +207,8 @@ def basis_to_assignment(red, s):
     if not is_incidence_generator(red.graph, s):
         raise ValueError("not an incidence generator")
     f = red.formula
-    lab = red.labels
-    t = {i: lab[f"T_{i}"] not in s for i in range(1, f.num_vars + 1)}
+    t = {i: TRUTH_GADGET_SIZE * (i - 1) + _T not in s
+         for i in range(1, f.num_vars + 1)}
     bad = _check_assignment(f, t)
     if bad:
         raise AssertionError(f"extraction failed: clause {bad} unsatisfied")
@@ -214,24 +221,14 @@ def verify_claims(red, s):
     s = frozenset(s)
     if not is_incidence_generator(red.graph, s):
         raise ValueError("not an incidence generator")
-    f = red.formula
-    report = {"truth_gadgets": [], "clause_gadgets": [], "ok": True}
-    for i in range(1, f.num_vars + 1):
-        base = TRUTH_GADGET_SIZE * (i - 1)
-        count = sum(1 for v in range(base, base + TRUTH_GADGET_SIZE)
-                    if v in s)
-        report["truth_gadgets"].append(count)
-        if count < 4:
-            report["ok"] = False
-    clause_base = TRUTH_GADGET_SIZE * f.num_vars
-    for j in range(len(f.clauses)):
-        base = clause_base + CLAUSE_GADGET_SIZE * j
-        count = sum(1 for v in range(base, base + CLAUSE_GADGET_SIZE)
-                    if v in s)
-        report["clause_gadgets"].append(count)
-        if count < 8:
-            report["ok"] = False
-    return report
+    smask = sum(1 << v for v in s)
+    clause_base = TRUTH_GADGET_SIZE * red.formula.num_vars
+    truth = [(smask >> base & 0x3F).bit_count()
+             for base in range(0, clause_base, TRUTH_GADGET_SIZE)]
+    clause = [(smask >> base & 0x1FF).bit_count()
+              for base in range(clause_base, red.graph.n, CLAUSE_GADGET_SIZE)]
+    return {"truth_gadgets": truth, "clause_gadgets": clause,
+            "ok": all(c >= 4 for c in truth) and all(c >= 8 for c in clause)}
 
 
 # --- tiny DPLL, used by tests and fixtures only ---------------------------

@@ -231,6 +231,27 @@ def test_extract_rejects_loose_set(capsys, tmp_path):
     assert "not a tight basis" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("members", [
+    [[1]] + list(range(1, 20)),
+    list(range(19)) + [1.5],
+    [f"v{i}" for i in range(20)],
+    [True] + list(range(2, 21)),
+    {"0": 1},
+])
+def test_extract_rejects_malformed_set_file(capsys, tmp_path, members):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 3 1\n-1 -2 3 0\n")
+    out = tmp_path / "red.txt"
+    main(["reduce", str(cnf), "-o", str(out)])
+    capsys.readouterr()
+    set_file = tmp_path / "set.json"
+    set_file.write_text(json.dumps(members))
+    assert main(["extract", str(out) + ".labels.json", str(set_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not a JSON list of vertex indices" in err
+
+
 @pytest.mark.parametrize("sidecar", [
     {"r": 20, "clauses": [[-1, -2, 3]]},
     {"num_vars": 3},

@@ -1,11 +1,14 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from incdim import (CnfFormula, assignment_to_generator, basis_to_assignment,
-                    build_reduction, dim_I_structural, is_edge_triangular,
+                    build_graph, build_reduction, dim_I_structural,
+                    is_edge_triangular,
                     is_incidence_generator, is_packing, is_satisfiable,
                     max_packing, parse_cnf, satisfying_assignment,
                     verify_claims)
@@ -252,3 +255,135 @@ def test_reduction_scale_dimi_decides_sat():
         red = build_reduction(f)
         sat = satisfying_assignment(f) is not None
         assert (dim_I_structural(red.graph).value == red.r) == sat
+
+
+# --- label-keyed spec oracle ------------------------------------------------
+# The compiler as first written: every vertex is looked up by its
+# structured name and the edges go through build_graph.  The library
+# computes the same indices arithmetically; these tests hold it to this.
+
+def oracle_labels(f):
+    labels = {}
+    for i in range(1, f.num_vars + 1):
+        base = 6 * (i - 1)
+        for off, name in enumerate(("x", "y", "z", "w", "T", "F")):
+            labels[f"{name}_{i}"] = base + off
+    clause_base = 6 * f.num_vars
+    for j in range(1, len(f.clauses) + 1):
+        base = clause_base + 9 * (j - 1)
+        for k in range(1, 4):
+            for off, name in enumerate(("a", "b", "c")):
+                labels[f"{name}_{j}^{k}"] = base + 3 * (k - 1) + off
+    return labels
+
+
+def oracle_build_reduction(f):
+    lab = oracle_labels(f)
+    edges = []
+    for i in range(1, f.num_vars + 1):
+        x, y, z, w, t, fa = (lab[f"{s}_{i}"] for s in ("x", "y", "z",
+                                                       "w", "T", "F"))
+        edges += [(x, y), (x, z), (y, z), (y, w), (z, w),
+                  (w, t), (w, fa), (t, fa)]
+    for j in range(1, len(f.clauses) + 1):
+        a = [lab[f"a_{j}^{k}"] for k in (1, 2, 3)]
+        b = [lab[f"b_{j}^{k}"] for k in (1, 2, 3)]
+        c = [lab[f"c_{j}^{k}"] for k in (1, 2, 3)]
+        for row in (a, b, c):                       # triangles within rows
+            edges += [(row[0], row[1]), (row[1], row[2]), (row[2], row[0])]
+        for k in range(3):                          # column triangles
+            edges += [(a[k], b[k]), (b[k], c[k]), (c[k], a[k])]
+    comm = []
+    for j, clause in enumerate(f.clauses, start=1):
+        for k, lit in enumerate(clause, start=1):
+            i = abs(lit)
+            port = lab[f"F_{i}"] if lit > 0 else lab[f"T_{i}"]
+            comm.append((port, lab[f"b_{j}^{k}"]))
+            comm.append((port, lab[f"c_{j}^{k}"]))
+    n_vertices = 6 * f.num_vars + 9 * len(f.clauses)
+    return SimpleNamespace(graph=build_graph(n_vertices, edges + comm),
+                           r=f.threshold(), labels=lab,
+                           communication_edges=tuple(comm), formula=f)
+
+
+def oracle_assignment_to_generator(red, t):
+    f, lab = red.formula, red.labels
+    s = set()
+    for i in range(1, f.num_vars + 1):
+        s.update(lab[f"{name}_{i}"] for name in ("y", "z", "w"))
+        s.add(lab[f"F_{i}"] if t[i] else lab[f"T_{i}"])
+    for j, clause in enumerate(f.clauses, start=1):
+        for k in (1, 2, 3):
+            s.add(lab[f"b_{j}^{k}"])
+            s.add(lab[f"c_{j}^{k}"])
+        sat_k = next(k for k, lit in enumerate(clause, start=1)
+                     if t[abs(lit)] == (lit > 0))
+        for k in (1, 2, 3):
+            if k != sat_k:
+                s.add(lab[f"a_{j}^{k}"])
+    assert len(s) == red.r and is_incidence_generator(red.graph, s)
+    return frozenset(s)
+
+
+def oracle_basis_to_assignment(red, s):
+    return {i: red.labels[f"T_{i}"] not in s
+            for i in range(1, red.formula.num_vars + 1)}
+
+
+def oracle_claims(red, s):
+    f, lab = red.formula, red.labels
+    truth = [sum(lab[f"{name}_{i}"] in s for name in "xyzwTF")
+             for i in range(1, f.num_vars + 1)]
+    clause = [sum(lab[f"{name}_{j}^{k}"] in s
+                  for name in "abc" for k in (1, 2, 3))
+              for j in range(1, len(f.clauses) + 1)]
+    return {"truth_gadgets": truth, "clause_gadgets": clause,
+            "ok": all(c >= 4 for c in truth) and all(c >= 8 for c in clause)}
+
+
+@st.composite
+def cnf_formulas(draw):
+    """3-CNFs with 0 or 3..9 variables and up to 30 clauses, both
+    polarities, some clauses repeated."""
+    num_vars = draw(st.sampled_from((0, 3, 4, 5, 6, 7, 8, 9)))
+    if not num_vars:
+        return CnfFormula(num_vars=0, clauses=())
+    clause = st.tuples(
+        st.permutations(range(1, num_vars + 1)),
+        st.tuples(st.booleans(), st.booleans(), st.booleans()),
+    ).map(lambda vs: tuple(v if pos else -v for v, pos in zip(*vs)))
+    clauses = draw(st.lists(clause, max_size=20))
+    clauses += clauses[:draw(st.integers(0, 10))]
+    return CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cnf_formulas())
+@example(parse_cnf(FIG5_CNF))
+@example(CnfFormula(num_vars=3, clauses=((1, 2, 3),) * 3))
+def test_compiler_matches_label_oracle(f):
+    red, want = build_reduction(f), oracle_build_reduction(f)
+    assert red.graph == want.graph
+    assert red.r == want.r
+    assert list(red.labels.items()) == list(want.labels.items())
+    inv = {v: k for k, v in want.labels.items()}
+    assert red.names == tuple(inv[v] for v in range(want.graph.n))
+    assert red.communication_edges == want.communication_edges
+    assert verify_claims(red, range(red.graph.n)) == \
+        oracle_claims(want, frozenset(range(red.graph.n)))
+    t = satisfying_assignment(f)
+    if t is None:
+        return
+    s = assignment_to_generator(red, t)
+    assert s == oracle_assignment_to_generator(want, t)
+    assert basis_to_assignment(red, s) == oracle_basis_to_assignment(want, s)
+    assert verify_claims(red, s) == oracle_claims(want, s)
+
+
+def test_build_reduction_rejects_bad_formula():
+    with pytest.raises(ValueError, match="out of range"):
+        build_reduction(CnfFormula(num_vars=3, clauses=((1, -2, 4),)))
+    with pytest.raises(ValueError, match="repeats a variable"):
+        build_reduction(CnfFormula(num_vars=3, clauses=((1, -1, 2),)))
+    with pytest.raises(ValueError, match="non-negative"):
+        build_reduction(CnfFormula(num_vars=-1, clauses=()))
