@@ -29,10 +29,6 @@ def _load_graph(path):
     return gmod.read_edge_list(path)
 
 
-def _vset(s):
-    return sorted(s)
-
-
 def _emit(report, as_json):
     if as_json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -66,14 +62,11 @@ def cmd_dimi(args):
     method = args.method
     if method == "auto":
         method = "structural" if g.m >= 1 else "brute"
-    if method == "formula":
-        raise ValueError("formula requires a named family: use "
-                         "'dimi-formula' with family parameters")
     if method == "structural":
         res = incidence.dim_I_structural(g)
     else:
         res = incidence.dim_I_brute(g, full_search=args.full_search)
-    results = {"value": res.value, "basis": _vset(res.basis),
+    results = {"value": res.value, "basis": sorted(res.basis),
                "method": res.method,
                "achieving_edge": list(res.achieving_edge)
                if res.achieving_edge else None}
@@ -94,10 +87,10 @@ def cmd_rho(args):
     g = _load_graph(args.graph)
     res = packing.max_packing(g, enumerate_all=args.all,
                               witness_cap=args.witness_cap)
-    results = {"rho": res.size, "witness": _vset(res.witness)}
+    results = {"rho": res.size, "witness": sorted(res.witness)}
     if res.all_witnesses is not None:
         results["witness_count"] = len(res.all_witnesses)
-        results["all_witnesses"] = [_vset(w) for w in res.all_witnesses]
+        results["all_witnesses"] = [sorted(w) for w in res.all_witnesses]
     results.update(_graph_meta(g, started))
     return _report("rho", {"graph": args.graph}, results)
 
@@ -107,7 +100,7 @@ def cmd_ecritical(args):
     g = _load_graph(args.graph)
     res = packing.e_critical_packing(g, (args.u, args.v))
     results = {"edge": list(res.edge), "size": res.size,
-               "witness": _vset(res.witness),
+               "witness": sorted(res.witness),
                "is_packing_of_G": res.is_packing_of_g,
                "contains_both_endpoints": res.contains_both_endpoints}
     results.update(_graph_meta(g, started))
@@ -119,7 +112,7 @@ def cmd_dima(args):
     started = time.perf_counter()
     g = _load_graph(args.graph)
     res = metric.dim_A(g)
-    results = {"value": res.value, "basis": _vset(res.basis)}
+    results = {"value": res.value, "basis": sorted(res.basis)}
     results.update(_graph_meta(g, started))
     return _report("dima", {"graph": args.graph}, results)
 
@@ -128,7 +121,7 @@ def cmd_dime(args):
     started = time.perf_counter()
     g = _load_graph(args.graph)
     res = metric.dim_e(g)
-    results = {"value": res.value, "basis": _vset(res.basis)}
+    results = {"value": res.value, "basis": sorted(res.basis)}
     results.update(_graph_meta(g, started))
     return _report("dime", {"graph": args.graph}, results)
 
@@ -254,7 +247,7 @@ def build_parser():
     p = sub.add_parser("dimi", help="incidence dimension of a graph file")
     p.add_argument("graph")
     p.add_argument("--method", default="auto",
-                   choices=["auto", "brute", "structural", "formula"])
+                   choices=["auto", "brute", "structural"])
     p.add_argument("--full-search", action="store_true",
                    help="brute search from size 0 (no sandwich shortcut)")
     p.set_defaults(func=cmd_dimi)

@@ -1,18 +1,16 @@
-"""Immutable simple graphs held as adjacency only.
+"""Immutable simple graphs held as adjacency bitmasks.
 
 Vertices are dense integers 0..n-1.  A graph stores its edge set; the
-neighbourhoods, the distance-2 conflict balls and the all-pairs hop
-distances are derived from it on first use and cached.  The balls are
-built from adjacency masks, so code that needs only distance <= 2
-relations never pays for the n x n distance table.  Distances between
-vertices in different components are INFINITE, which compares greater
-than any finite hop count, so distance predicates work uniformly on
-disconnected graphs.
+neighbourhood masks and the distance-2 conflict balls are derived from
+it on first use and cached, and hop distances come from BFS layers
+flooded over the neighbourhood masks.  No n x n distance table is
+ever built.  Distances between vertices in different components are
+INFINITE, which compares greater than any finite hop count, so
+distance predicates work uniformly on disconnected graphs.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,6 +24,14 @@ def _normalize_edge(e):
     return (u, v) if u < v else (v, u)
 
 
+def _graph_edge(g, e):
+    """e as (u, v) with u < v; it must be an edge of g."""
+    e = _normalize_edge(e)
+    if e not in g.edges:
+        raise ValueError(f"edge not in graph: {e}")
+    return e
+
+
 def _mask_to_set(mask):
     out = set()
     while mask:
@@ -35,26 +41,27 @@ def _mask_to_set(mask):
     return frozenset(out)
 
 
+def _vertex_mask(g, s):
+    """Bitmask of the vertex set s; every vertex must lie in range."""
+    mask = 0
+    for v in s:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex out of range: {v}")
+        mask |= 1 << v
+    return mask
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph; construct through build_graph.
 
-    Only n and the edge set are stored.  Every other view is a cached
-    property computed on first access: adjacency sets and masks, the
-    distance-2 balls, and dist, the n x n hop-distance table.
+    Only n and the edge set are stored.  The adjacency masks, the
+    distance-2 balls and the sorted edge tuple are cached properties
+    computed on first access.
     """
 
     n: int
     edges: frozenset  # frozenset of (u, v) tuples with u < v
-
-    @cached_property
-    def adj(self):
-        """Open neighborhoods as a tuple of frozensets."""
-        nbrs = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return tuple(frozenset(s) for s in nbrs)
 
     @cached_property
     def adj_masks(self):
@@ -77,11 +84,6 @@ class Graph:
         return tuple(balls)
 
     @cached_property
-    def dist(self):
-        """n x n tuple of tuples of hop distances (BFS from every vertex)."""
-        return _distances(self.n, self.edges)
-
-    @cached_property
     def sorted_edges(self):
         return tuple(sorted(self.edges))
 
@@ -89,30 +91,21 @@ class Graph:
     def m(self):
         return len(self.edges)
 
-    def has_edge(self, u, v):
-        return (u, v) in self.edges if u < v else (v, u) in self.edges
 
-
-def _bfs_row(n, adj, src):
-    row = [INFINITE] * n
-    row[src] = 0
-    q = deque([src])
-    while q:
-        x = q.popleft()
-        d = row[x] + 1
-        for y in adj[x]:
-            if row[y] == INFINITE:
-                row[y] = d
-                q.append(y)
-    return tuple(row)
-
-
-def _distances(n, edges):
-    nbrs = [[] for _ in range(n)]
-    for u, v in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    return tuple(_bfs_row(n, nbrs, s) for s in range(n))
+def _layers(g, src):
+    """Masks of the BFS layers of g from src: {src}, then the vertices
+    at distance 1, 2, ... until no vertex is new."""
+    adj = g.adj_masks
+    seen = frontier = 1 << src
+    while frontier:
+        yield frontier
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        seen |= frontier
 
 
 def build_graph(n, edge_list):
@@ -136,24 +129,19 @@ def neighbors(g, v):
     """Open neighborhood N(v) as a frozenset."""
     if not 0 <= v < g.n:
         raise ValueError(f"vertex out of range: {v}")
-    return g.adj[v]
+    return _mask_to_set(g.adj_masks[v])
 
 
 def remove_edge(g, e):
     """Return a new graph with edge e removed."""
-    e = _normalize_edge(e)
-    if e not in g.edges:
-        raise ValueError(f"edge not in graph: {e}")
-    return Graph(n=g.n, edges=g.edges - {e})
+    return Graph(n=g.n, edges=g.edges - {_graph_edge(g, e)})
 
 
 def induced_subgraph(g, d):
     """Subgraph induced by vertex set d, relabeled 0..|d|-1 in ascending
     order of the original labels."""
     verts = sorted(d)
-    for v in verts:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex out of range: {v}")
+    _vertex_mask(g, verts)
     index = {v: i for i, v in enumerate(verts)}
     edges = [(index[u], index[v]) for u, v in g.edges
              if u in index and v in index]
@@ -167,21 +155,10 @@ def is_edge_triangular(g):
 
 
 def is_connected(g):
-    """True iff every vertex is reachable from vertex 0 (flooded over
-    adjacency masks one BFS layer at a time)."""
+    """True iff every vertex is reachable from vertex 0."""
     if g.n <= 1:
         return True
-    adj = g.adj_masks
-    seen = frontier = 1
-    while frontier:
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reach & ~seen
-        seen |= frontier
-    return seen.bit_count() == g.n
+    return sum(map(int.bit_count, _layers(g, 0))) == g.n
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +238,10 @@ def generate_family(family, *params):
     except KeyError:
         raise ValueError(f"family parameters invalid: unknown family "
                          f"{family!r}") from None
+    arity = builder.__code__.co_argcount
+    if len(params) != arity:
+        raise ValueError(f"family parameters invalid: {family} takes "
+                         f"{arity} parameter(s), got {len(params)}")
     return builder(*params)
 
 

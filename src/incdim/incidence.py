@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from itertools import combinations, starmap
 from operator import xor
 
-from .graph import _mask_to_set, _normalize_edge, is_connected
+from .graph import (_graph_edge, _mask_to_set, _normalize_edge,
+                    _vertex_mask, is_connected)
 from .hitting import min_hitting_set
 from .packing import (DEFAULT_WITNESS_CAP, _with_endpoints,
                       e_critical_packing, max_packing)
@@ -34,13 +35,9 @@ class DimResult:
 
 def resolves(g, x, e, f):
     """True iff x is an endpoint of exactly one of the edges e, f."""
-    e = _normalize_edge(e)
-    f = _normalize_edge(f)
-    if e == f:
+    if _normalize_edge(e) == _normalize_edge(f):
         raise ValueError("identical edges")
-    for edge in (e, f):
-        if edge not in g.edges:
-            raise ValueError(f"edge not in graph: {edge}")
+    e, f = _graph_edge(g, e), _graph_edge(g, f)
     if not 0 <= x < g.n:
         raise ValueError(f"vertex out of range: {x}")
     return (x in e) != (x in f)
@@ -59,11 +56,7 @@ def is_incidence_generator(g, s):
     generator iff G - s has at most one edge and every vertex of s has
     at most one neighbour outside s.
     """
-    smask = 0
-    for v in s:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex out of range: {v}")
-        smask |= 1 << v
+    smask = _vertex_mask(g, s)
     rest = ((1 << g.n) - 1) ^ smask
     ends = 0    # edges of G - s counted from both ends
     for v, nbrs in enumerate(g.adj_masks):
@@ -129,28 +122,31 @@ def dim_I_structural(g, rho_res=None):
 
 def dim_I_formula(family, *params):
     """Closed-formula dimension for the four standard families."""
-    if family == "complete":
-        (n,) = params
-        if n < 3:
-            raise ValueError("formula domain violated: complete needs n >= 3")
-        return n - 1
-    if family == "path":
-        (n,) = params
-        if n < 3:
-            raise ValueError("formula domain violated: path needs n >= 3")
-        return (2 * (n - 1)) // 3
-    if family == "cycle":
-        (n,) = params
-        if n < 4:
-            raise ValueError("formula domain violated: cycle needs n >= 4")
-        return (2 * n) // 3
+    arity = {"complete": 1, "path": 1, "cycle": 1,
+             "complete_bipartite": 2}.get(family)
+    if arity is None:
+        raise ValueError(f"formula domain violated: unknown family {family!r}")
+    if len(params) != arity:
+        raise ValueError(f"formula domain violated: {family} takes "
+                         f"{arity} parameter(s), got {len(params)}")
     if family == "complete_bipartite":
         r, t = params
         if r < 1 or t < 1:
             raise ValueError("formula domain violated: "
                              "complete_bipartite needs r,t >= 1")
         return r + t - 2
-    raise ValueError(f"formula domain violated: unknown family {family!r}")
+    (n,) = params
+    if family == "complete":
+        if n < 3:
+            raise ValueError("formula domain violated: complete needs n >= 3")
+        return n - 1
+    if family == "path":
+        if n < 3:
+            raise ValueError("formula domain violated: path needs n >= 3")
+        return (2 * (n - 1)) // 3
+    if n < 4:
+        raise ValueError("formula domain violated: cycle needs n >= 4")
+    return (2 * n) // 3
 
 
 def classify(g, rho_res=None):

@@ -12,7 +12,8 @@ from functools import partial, reduce
 from itertools import combinations, starmap
 from operator import or_, xor
 
-from .graph import _mask_to_set, _normalize_edge
+from .graph import (INFINITE, _graph_edge, _layers, _mask_to_set,
+                    _vertex_mask)
 from .hitting import min_hitting_set
 
 
@@ -26,11 +27,7 @@ class MetricDimResult:
 def is_adjacency_generator(g, s):
     """True iff every pair of distinct vertices outside s has a member
     of s adjacent to exactly one of them."""
-    smask = 0
-    for v in s:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex out of range: {v}")
-        smask |= 1 << v
+    smask = _vertex_mask(g, s)
     outside = [v for v in range(g.n) if not (smask >> v) & 1]
     seen = set()
     for v in outside:
@@ -55,13 +52,14 @@ def dim_A(g):
 
 
 def edge_distance(g, v, e):
-    """Distance from vertex v to edge e: the nearer endpoint distance."""
-    u, w = _normalize_edge(e)
-    if (u, w) not in g.edges:
-        raise ValueError(f"edge not in graph: {(u, w)}")
+    """Distance from vertex v to edge e: the nearer endpoint distance,
+    the first BFS layer from v that meets an endpoint."""
+    u, w = _graph_edge(g, e)
     if not 0 <= v < g.n:
         raise ValueError(f"vertex out of range: {v}")
-    return min(g.dist[v][u], g.dist[v][w])
+    ends = (1 << u) | (1 << w)
+    return next((d for d, layer in enumerate(_layers(g, v)) if layer & ends),
+                INFINITE)
 
 
 def _edge_separators(g):

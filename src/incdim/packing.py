@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import _mask_to_set, _normalize_edge
+from .graph import _graph_edge, _mask_to_set, _vertex_mask
 
 DEFAULT_WITNESS_CAP = 10 ** 6
 
@@ -59,17 +59,9 @@ class CriticalPackingResult:
 
 def is_packing(g, p):
     """True iff every pair of distinct vertices of p is at distance > 2."""
-    verts = sorted(p)
-    for v in verts:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex out of range: {v}")
+    mask = _vertex_mask(g, p)
     balls = g.ball2_masks
-    mask = 0
-    for v in verts:
-        if balls[v] & mask:
-            return False
-        mask |= 1 << v
-    return True
+    return all(balls[v] & mask == 1 << v for v in _mask_to_set(mask))
 
 
 def _chain_top(balls, cands, limit):
@@ -189,9 +181,7 @@ def e_critical_packing(g, e, rho_res=None):
     rho_res, when given, must be max_packing(g); it saves recomputing
     it.  The witness is the lexicographically smallest maximum set.
     """
-    u, v = _normalize_edge(e)
-    if (u, v) not in g.edges:
-        raise ValueError(f"edge not in graph: {(u, v)}")
+    u, v = _graph_edge(g, e)
     if rho_res is None:
         rho_res = max_packing(g)
     mask = 0

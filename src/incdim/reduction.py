@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .graph import Graph
+from .graph import Graph, _vertex_mask
 from .incidence import is_incidence_generator
 
 TRUTH_GADGET_SIZE = 6
@@ -221,7 +221,7 @@ def verify_claims(red, s):
     s = frozenset(s)
     if not is_incidence_generator(red.graph, s):
         raise ValueError("not an incidence generator")
-    smask = sum(1 << v for v in s)
+    smask = _vertex_mask(red.graph, s)
     clause_base = TRUTH_GADGET_SIZE * red.formula.num_vars
     truth = [(smask >> base & 0x3F).bit_count()
              for base in range(0, clause_base, TRUTH_GADGET_SIZE)]

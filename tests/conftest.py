@@ -4,6 +4,7 @@ The oracles deliberately avoid the library's search machinery: plain
 subset enumeration and pairwise definitions, so they stay valid even if
 the solvers' shortcuts are wrong.
 """
+from functools import lru_cache
 from itertools import chain, combinations
 
 import pytest
@@ -82,9 +83,16 @@ def floyd_warshall(g):
     return d
 
 
+@lru_cache(maxsize=64)
+def _oracle_distances(g):
+    """floyd_warshall(g) as rows of tuples, computed once per graph."""
+    return tuple(map(tuple, floyd_warshall(g)))
+
+
 def oracle_is_packing(g, p):
+    d = _oracle_distances(g)
     p = sorted(p)
-    return all(g.dist[u][v] > 2 for i, u in enumerate(p) for v in p[i + 1:])
+    return all(d[u][v] > 2 for i, u in enumerate(p) for v in p[i + 1:])
 
 
 def oracle_max_packings(g, within=None):
@@ -166,10 +174,14 @@ def oracle_is_adjacency_generator(g, s):
     """Literal pairwise definition: every two distinct vertices outside
     s have a member of s adjacent to exactly one of them."""
     s = set(s)
+    nbrs = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
     outside = [v for v in range(g.n) if v not in s]
     for i, x in enumerate(outside):
         for y in outside[i + 1:]:
-            if not any((x in g.adj[w]) != (y in g.adj[w]) for w in s):
+            if not any((x in nbrs[w]) != (y in nbrs[w]) for w in s):
                 return False
     return True
 

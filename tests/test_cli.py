@@ -5,6 +5,7 @@ import json
 import pytest
 
 from incdim import generate_family, write_edge_list
+from incdim.graph import FAMILIES
 from incdim import cli
 from incdim.cli import main
 
@@ -64,9 +65,10 @@ def test_dimi_plain_text(capsys, p8_file):
 
 
 def test_dimi_formula_method_rejected(capsys, p8_file):
-    code = main(["dimi", p8_file, "--method", "formula"])
-    assert code == 2
-    assert "formula requires a named family" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["dimi", p8_file, "--method", "formula"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'formula'" in capsys.readouterr().err
 
 
 def test_dimi_formula_command(capsys):
@@ -196,6 +198,28 @@ def test_gen(capsys, tmp_path):
 def test_gen_invalid_params(capsys, tmp_path):
     code = main(["gen", "grn", "3", "8", "-o", str(tmp_path / "x.txt")])
     assert code == 2
+
+
+@pytest.mark.parametrize("count", range(4))
+@pytest.mark.parametrize("command, family", [
+    *(("gen", family) for family in sorted(FAMILIES)),
+    *(("dimi-formula", family)
+      for family in ("complete", "path", "cycle", "complete_bipartite"))])
+def test_family_arity_is_a_clean_error(capsys, tmp_path, command, family,
+                                       count):
+    argv = [command, family] + ["3", "7", "5"][:count]
+    if command == "gen":
+        argv += ["-o", str(tmp_path / "x.g")]
+    try:
+        code = main(argv)
+    except SystemExit as exc:    # argparse: no parameter at all
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    if code == 2 and count:
+        assert err.startswith(("error: family parameters invalid: ",
+                               "error: formula domain violated: ")), err
+        assert family in err
 
 
 def test_reduce_and_extract(capsys, tmp_path):

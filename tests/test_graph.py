@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import example, given, settings
 
-from incdim import (build_graph, generate_family, induced_subgraph,
-                    is_connected, is_edge_triangular, neighbors,
-                    remove_edge)
+from incdim import (build_graph, edge_distance, generate_family,
+                    induced_subgraph, is_connected, is_edge_triangular,
+                    neighbors, remove_edge)
 from incdim.graph import (INFINITE, format_edge_list, parse_edge_list)
 
 from .conftest import floyd_warshall, parser_texts, small_graphs
@@ -11,18 +11,21 @@ from .conftest import floyd_warshall, parser_texts, small_graphs
 
 def test_build_single_edge():
     g = build_graph(2, [(0, 1)])
-    assert g.dist[0][1] == 1
+    assert neighbors(g, 0) == {1} and is_connected(g)
+    assert edge_distance(g, 1, (0, 1)) == 0
 
 
 def test_build_figure1(figure1):
-    assert figure1.dist[0][3] == 3
-    assert figure1.dist[0][4] == 2
+    assert edge_distance(figure1, 0, (2, 3)) == 2   # d(0, 3) = 3
+    assert edge_distance(figure1, 4, (2, 3)) == 2
+    assert edge_distance(figure1, 0, (1, 4)) == 1   # d(0, 4) = 2
+    assert neighbors(figure1, 4) == {1}
 
 
 def test_build_edgeless():
     g = build_graph(3, [])
-    assert all(g.dist[u][v] == INFINITE
-               for u in range(3) for v in range(3) if u != v)
+    assert all(neighbors(g, v) == frozenset() for v in range(3))
+    assert not is_connected(g)
 
 
 def test_build_deduplicates():
@@ -49,19 +52,24 @@ def test_neighbors(figure1):
 
 def test_remove_edge_isolates(figure1):
     g = remove_edge(figure1, (0, 1))
-    assert all(g.dist[0][x] == INFINITE for x in range(1, 5))
+    assert neighbors(g, 0) == frozenset() and not is_connected(g)
+    assert all(edge_distance(g, 0, e) == INFINITE for e in g.edges)
 
 
 def test_remove_edge_cycle_to_path():
     c4 = generate_family("cycle", 4)
     p = remove_edge(c4, (0, 1))
-    assert p.m == 3 and max(d for row in p.dist for d in row) == 3
+    assert p.m == 3 and is_connected(p)   # the path 1-2-3-0
+    assert edge_distance(p, 1, (0, 3)) == 2   # d(1, 0) = 3
+    assert max(edge_distance(p, v, e)
+               for v in range(4) for e in p.edges) == 2
 
 
 def test_remove_edge_triangle():
     k3 = generate_family("complete", 3)
     g = remove_edge(k3, (0, 1))
-    assert g.dist[0][1] == 2
+    assert neighbors(g, 0) == {2} and neighbors(g, 1) == {2}
+    assert edge_distance(g, 0, (1, 2)) == 1   # d(0, 1) = 2
 
 
 def test_remove_edge_missing():
@@ -73,7 +81,7 @@ def test_remove_then_readd_roundtrip(figure1):
     g = remove_edge(figure1, (1, 2))
     back = build_graph(g.n, list(g.edges) + [(1, 2)])
     assert back.edges == figure1.edges
-    assert back.dist == figure1.dist
+    assert back.adj_masks == figure1.adj_masks
 
 
 def test_induced_subgraph(figure1):
@@ -129,8 +137,21 @@ def test_family_invalid_params():
 
 @settings(max_examples=60, deadline=None)
 @given(small_graphs())
-def test_bfs_matches_floyd_warshall(g):
-    assert [list(row) for row in g.dist] == floyd_warshall(g)
+def test_edge_distance_matches_floyd_warshall(g):
+    d = floyd_warshall(g)
+    for v in range(g.n):
+        for u, w in g.edges:
+            assert edge_distance(g, v, (u, w)) == min(d[v][u], d[v][w])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs())
+def test_neighbors_match_floyd_warshall(g):
+    d = floyd_warshall(g)
+    for v in range(g.n):
+        nbrs = neighbors(g, v)
+        assert isinstance(nbrs, frozenset)
+        assert nbrs == {u for u in range(g.n) if d[v][u] == 1}
 
 
 @settings(max_examples=100, deadline=None)
@@ -152,7 +173,6 @@ def test_edgeless_graph_builds_no_distance_table():
     g = build_graph(3000, [])
     assert g.ball2_masks[2999] == 1 << 2999
     assert not is_connected(g)
-    assert "dist" not in vars(g)
 
 
 @settings(max_examples=40, deadline=None)

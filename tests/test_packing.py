@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from incdim import (WitnessCapExceeded, build_graph, build_reduction,
                     classify, dim_I_structural, e_critical_packing,
                     generate_family, has_unique_max_packing, is_packing,
-                    max_packing, remove_edge)
+                    max_packing, neighbors, remove_edge)
 from incdim.corpus import all_labeled_graphs, random_graphs
 from incdim.packing import _chain_top, _mask_to_set, _search
 
@@ -231,7 +231,7 @@ def test_one_endpoint_remark():
             if len(inside) == 1:
                 u = next(iter(inside))
                 v = e[0] if e[1] == u else e[1]
-                assert g.adj[v] & res.witness == {u}
+                assert neighbors(g, v) & res.witness == {u}
 
 
 def test_condition_one_flags():

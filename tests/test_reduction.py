@@ -10,8 +10,8 @@ from incdim import (CnfFormula, assignment_to_generator, basis_to_assignment,
                     build_graph, build_reduction, dim_I_structural,
                     is_edge_triangular,
                     is_incidence_generator, is_packing, is_satisfiable,
-                    max_packing, parse_cnf, satisfying_assignment,
-                    verify_claims)
+                    max_packing, neighbors, parse_cnf,
+                    satisfying_assignment, verify_claims)
 
 from .conftest import parser_texts
 
@@ -103,7 +103,7 @@ def test_clause_gadget_is_4_regular_internally():
     base = 6 * 3
     gadget = set(range(base, base + 9))
     for v in gadget:
-        assert len(red.graph.adj[v] & gadget) == 4
+        assert len(neighbors(red.graph, v) & gadget) == 4
 
 
 def test_truth_gadget_edges():
