@@ -84,6 +84,8 @@ def cmd_dimi_formula(args):
 
 def cmd_rho(args):
     started = time.perf_counter()
+    if args.witness_cap < 0:
+        raise ValueError("--witness-cap must be non-negative")
     g = _load_graph(args.graph)
     res = packing.max_packing(g, enumerate_all=args.all,
                               witness_cap=args.witness_cap)
@@ -207,6 +209,8 @@ def cmd_extract(args):
 def cmd_verify(args):
     started = time.perf_counter()
     if args.corpus == "exhaustive":
+        if args.n < 1:
+            raise ValueError("exhaustive corpus needs n >= 1")
         if args.n > 7:
             raise ValueError("exhaustive corpus is limited to n <= 7")
         if args.n == 7 and not args.slow:
@@ -217,6 +221,8 @@ def cmd_verify(args):
     else:
         if args.seed is None:
             raise ValueError("random corpus requires --seed")
+        if args.count < 1:
+            raise ValueError("random corpus needs --count >= 1")
         graphs = random_graphs(args.n, args.count, args.seed)
         inputs = {"corpus": "random", "n": args.n, "count": args.count,
                   "seed": args.seed}

@@ -56,8 +56,8 @@ class Graph:
     """Simple undirected graph; construct through build_graph.
 
     Only n and the edge set are stored.  The adjacency masks, the
-    distance-2 balls and the sorted edge tuple are cached properties
-    computed on first access.
+    distance-2 balls, the conflict graph's elimination ordering and the
+    sorted edge tuple are cached properties computed on first access.
     """
 
     n: int
@@ -66,22 +66,46 @@ class Graph:
     @cached_property
     def adj_masks(self):
         """Open neighborhoods as bitmasks."""
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
+        return tuple(_adjacency(self.n, self.edges))
 
     @cached_property
     def ball2_masks(self):
         """For each v: bitmask of v itself plus all u with d(u,v) <= 2,
         i.e. v | N(v) | N(N(v))."""
-        adj = self.adj_masks
-        balls = [(1 << v) | adj[v] for v in range(self.n)]
-        for u, v in self.edges:
-            balls[u] |= adj[v]
-            balls[v] |= adj[u]
-        return tuple(balls)
+        return tuple(_balls(self.edges, self.adj_masks))
+
+    @cached_property
+    def conflict_peo(self):
+        """A perfect elimination ordering of the conflict graph, as
+        (rank, balls): rank[v] is v's position and balls[i] the conflict
+        ball of the vertex at position i, as a mask of positions.  None
+        when no candidate order passes _is_peo.
+
+        The identity order comes first; it is a PEO whenever every
+        component has diameter at most 2.  A graph with m < n also tries
+        non-increasing BFS depth per component, which is a PEO of the
+        square of any forest: the later conflict neighbours of v are its
+        parent, its grandparent and its later siblings.
+        """
+        balls = self.ball2_masks
+        if _is_peo(balls):
+            return range(self.n), balls
+        if self.m >= self.n:
+            return None
+        rank, pos = [0] * self.n, 0
+        left = (1 << self.n) - 1
+        while left:
+            layers = list(_layers(self, (left & -left).bit_length() - 1))
+            for layer in reversed(layers):
+                left ^= layer
+                while layer:
+                    low = layer & -layer
+                    rank[low.bit_length() - 1] = pos
+                    pos += 1
+                    layer ^= low
+        edges = [(rank[u], rank[v]) for u, v in self.edges]
+        balls = _balls(edges, _adjacency(self.n, edges))
+        return (rank, balls) if _is_peo(balls) else None
 
     @cached_property
     def sorted_edges(self):
@@ -90,6 +114,22 @@ class Graph:
     @property
     def m(self):
         return len(self.edges)
+
+
+def _adjacency(n, edges):
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
+def _balls(edges, adj):
+    balls = [(1 << v) | nbrs for v, nbrs in enumerate(adj)]
+    for u, v in edges:
+        balls[u] |= adj[v]
+        balls[v] |= adj[u]
+    return balls
 
 
 def _layers(g, src):
@@ -106,6 +146,24 @@ def _layers(g, src):
             frontier ^= low
         frontier = reach & ~seen
         seen |= frontier
+
+
+def _is_peo(balls):
+    """True iff the identity order is a perfect elimination ordering of
+    the graph whose closed neighbourhoods are the masks balls: the later
+    neighbours of every vertex are pairwise adjacent.
+
+    Each vertex is checked against its first later neighbour f only:
+    every other later neighbour must be adjacent to f.  That suffices
+    (Tarjan & Yannakakis, SIAM J. Comput. 1984): at the latest vertex
+    with two non-adjacent later neighbours x and y, both differ from f,
+    so both are later neighbours of f, which are pairwise adjacent.
+    """
+    for v, ball in enumerate(balls):
+        later = ball >> v + 1 << v + 1     # when 0, balls[-1] is harmless
+        if later & ~balls[(later & -later).bit_length() - 1]:
+            return False
+    return True
 
 
 def build_graph(n, edge_list):

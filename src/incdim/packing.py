@@ -2,22 +2,37 @@
 
 A 2-packing is a vertex set whose members are pairwise at distance
 greater than 2, equivalently an independent set of the distance-2
-conflict graph.  The solver is a deterministic include-first
-branch-and-bound over vertices in ascending order, so the reported
-witness is always the lexicographically smallest maximum set.
+conflict graph.  Every route reports the lexicographically smallest
+maximum set, so witnesses do not depend on the route taken.
 
-The bound is a greedy clique cover of the conflict graph (the
-colouring bound of MCQ/BBMC max-clique solvers, applied to the
-complement), built top down: each clique starts at the highest
-uncovered candidate.  A node that still needs k more vertices builds
-one cover of k - 1 cliques and keeps the highest candidate they leave
-over.  Every candidate above it lies in those cliques, so once the
-branch vertex passes it, no set in the rest of the node's exclude
-chain can reach k, and the whole chain is pruned.  The cover is built
-only for a new candidate set (an include child) or when the incumbent
-has raised k; the exclude children inherit it.  The bound prunes only
-subtrees that cannot beat the incumbent, so it changes no witness and
-no enumeration order.
+When the graph has a verified perfect elimination ordering (PEO) of
+its conflict graph (Graph.conflict_peo), the maximum is decided
+exactly without search.  Every induced subgraph of a chordal graph is
+chordal with the restricted order as a PEO, and its earliest vertex is
+simplicial, so some maximum independent set holds it: the greedy pass
+that takes the earliest candidate and drops its ball counts the
+independence number alpha of any candidate set (Gavril, SIAM J.
+Comput. 1972).  The witness is then built in one ascending pass: the
+lowest candidate v joins it iff 1 + alpha(cands minus ball(v)) still
+reaches the size sought, which needs no count when v is earliest in
+the PEO.  Trees have chordal squares, so on trees rho, the
+restricted per-edge searches and hence the dimension cost only mask
+operations polynomial in n.
+
+Otherwise, and always for the enumeration of every maximum packing,
+the solver is a deterministic include-first branch and bound over
+vertices in ascending order.  Its bound is a greedy clique cover of
+the conflict graph (the colouring bound of MCQ/BBMC max-clique
+solvers, applied to the complement), built top down: each clique
+starts at the highest uncovered candidate.  A node that still needs k
+more vertices builds one cover of k - 1 cliques and keeps the highest
+candidate they leave over.  Every candidate above it lies in those
+cliques, so once the branch vertex passes it, no set in the rest of
+the node's exclude chain can reach k, and the whole chain is pruned.
+The cover is built only for a new candidate set (an include child) or
+when the incumbent has raised k; the exclude children inherit it.  The
+bound prunes only subtrees that cannot beat the incumbent, so it
+changes no witness and no enumeration order.
 
 e-critical packings are decided on G's own conflict balls; G - e is
 never built.  For e = uv, a set larger than rho(G) must hold both u
@@ -30,7 +45,7 @@ and each edge costs at most one search restricted to it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graph import _graph_edge, _mask_to_set, _vertex_mask
 
@@ -46,6 +61,7 @@ class PackingResult:
     size: int
     witness: frozenset
     all_witnesses: tuple = None  # tuple of frozensets when enumeration asked
+    mask: int = field(default=None, compare=False, repr=False)  # of witness
 
 
 @dataclass(frozen=True)
@@ -143,6 +159,60 @@ def _search(balls, cands, floor, cap=None):
     return found
 
 
+def _greedy(balls, cands):
+    """The set the greedy pass takes from cands, always the earliest
+    candidate: a maximum conflict-free subset when the positions are a
+    PEO's."""
+    taken = 0
+    while cands:
+        low = cands & -cands
+        taken |= low
+        cands &= ~balls[low.bit_length() - 1]
+    return taken
+
+
+def _best(g, drop, floor):
+    """_search's max mode on the vertices beyond distance 2 of every
+    vertex of drop: [lexicographically smallest maximum packing mask]
+    if it has more than floor vertices, else [].  Exact and without
+    search when g has a conflict PEO."""
+    balls, peo = g.ball2_masks, g.conflict_peo
+    cands = (1 << g.n) - 1
+    for x in drop:
+        cands &= ~balls[x]
+    if peo is None:
+        return _search(balls, cands, floor)
+    rank, pballs = peo
+    if pballs is balls:
+        # The identity order: the lowest candidate is also the earliest,
+        # so the ascending pass below takes every vertex it reaches.
+        cur = _greedy(balls, cands)
+        return [cur] if cur.bit_count() > floor else []
+    pcands = (1 << g.n) - 1
+    for x in drop:
+        pcands &= ~pballs[rank[x]]
+    need = _greedy(pballs, pcands).bit_count()
+    if need <= floor:
+        return []
+    # cands and pcands hold the same vertices, by label and by PEO
+    # position.  Invariant: size + alpha(pcands) == need.
+    cur = size = 0
+    while cands:
+        low = cands & -cands
+        v = low.bit_length() - 1
+        p = rank[v]
+        rest = pcands & ~pballs[p]
+        if (pcands & -pcands == 1 << p
+                or size + 1 + _greedy(pballs, rest).bit_count() == need):
+            cur, size = cur | low, size + 1
+            cands &= ~balls[v]
+            pcands = rest
+        else:
+            cands ^= low
+            pcands ^= 1 << p
+    return [cur]
+
+
 def max_packing(g, enumerate_all=False, witness_cap=DEFAULT_WITNESS_CAP):
     """Maximum 2-packing of g.
 
@@ -150,15 +220,14 @@ def max_packing(g, enumerate_all=False, witness_cap=DEFAULT_WITNESS_CAP):
     With enumerate_all, all_witnesses lists every maximum packing (in
     lexicographic order), guarded by witness_cap.
     """
-    balls, cands = g.ball2_masks, (1 << g.n) - 1
-    (mask,) = _search(balls, cands, -1)
+    (mask,) = _best(g, (), -1)
     size = mask.bit_count()
     witnesses = None
     if enumerate_all:
-        masks = _search(balls, cands, size - 1, witness_cap)
+        masks = _search(g.ball2_masks, (1 << g.n) - 1, size - 1, witness_cap)
         witnesses = tuple(_mask_to_set(m) for m in masks)
     return PackingResult(size=size, witness=_mask_to_set(mask),
-                         all_witnesses=witnesses)
+                         all_witnesses=witnesses, mask=mask)
 
 
 def _with_endpoints(g, u, v, floor):
@@ -167,9 +236,7 @@ def _with_endpoints(g, u, v, floor):
     None (always None when u and v have a common neighbour)."""
     if g.adj_masks[u] & g.adj_masks[v]:
         return None
-    balls = g.ball2_masks
-    cands = ((1 << g.n) - 1) & ~(balls[u] | balls[v])
-    rest = _search(balls, cands, floor - 2)
+    rest = _best(g, (u, v), floor - 2)
     return rest[0] | (1 << u) | (1 << v) if rest else None
 
 
@@ -184,9 +251,9 @@ def e_critical_packing(g, e, rho_res=None):
     u, v = _graph_edge(g, e)
     if rho_res is None:
         rho_res = max_packing(g)
-    mask = 0
-    for x in rho_res.witness:
-        mask |= 1 << x
+    mask = rho_res.mask
+    if mask is None:
+        mask = _vertex_mask(g, rho_res.witness)
     # The feasible sets missing an endpoint are the packings of G, led
     # by rho_res's witness; those holding both have at most rho + 1
     # vertices.  Of two sets of equal size the lexicographically

@@ -4,6 +4,7 @@ The oracles deliberately avoid the library's search machinery: plain
 subset enumeration and pairwise definitions, so they stay valid even if
 the solvers' shortcuts are wrong.
 """
+from collections import deque
 from functools import lru_cache
 from itertools import chain, combinations
 
@@ -44,6 +45,19 @@ def small_graphs():
         lambda n: st.tuples(st.just(n),
                             st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
     ).map(build)
+
+
+def small_trees(max_n=12):
+    """Hypothesis strategy: labelled trees with up to max_n vertices,
+    each vertex i > 0 hung on an earlier one, then relabelled."""
+    def build(data):
+        n, parents, perm = data
+        return build_graph(n, [(perm[i], perm[p])
+                               for i, p in enumerate(parents, start=1)])
+    return st.integers(1, max_n).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.tuples(*[st.integers(0, i - 1) for i in range(1, n)]),
+        st.permutations(range(n)))).map(build)
 
 
 # Tokens of both text parsers: DIMACS keywords, comment markers, signs,
@@ -106,6 +120,52 @@ def oracle_max_packings(g, within=None):
             elif len(subset) == best and subset:
                 out.append(frozenset(subset))
     return best, out
+
+
+def oracle_is_peo(g, order):
+    """True iff order is a perfect elimination ordering of the conflict
+    graph: for every vertex, its conflict neighbours later in order are
+    pairwise within distance 2 (Floyd-Warshall distances)."""
+    d = _oracle_distances(g)
+    for i, v in enumerate(order):
+        later = [u for u in order[i + 1:] if d[u][v] <= 2]
+        if any(d[x][y] > 2
+               for j, x in enumerate(later) for y in later[j + 1:]):
+            return False
+    return True
+
+
+def oracle_tree_domination(g):
+    """Domination number of a forest by the leaf-up greedy: a vertex not
+    yet dominated when its subtree is done puts its parent (a root:
+    itself) in the dominating set.  On forests it equals rho (Meir &
+    Moon, Pacific J. Math. 1975)."""
+    nbrs = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    parent, order = [None] * g.n, []
+    seen = [False] * g.n
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for u in nbrs[v]:
+                if not seen[u]:
+                    seen[u], parent[u] = True, v
+                    queue.append(u)
+    dominated, size = [False] * g.n, 0
+    for v in reversed(order):
+        if not dominated[v]:
+            w = v if parent[v] is None else parent[v]
+            size += 1
+            for x in nbrs[w] + [w]:
+                dominated[x] = True
+    return size
 
 
 def oracle_e_critical_feasible(g, ge, e, subset):

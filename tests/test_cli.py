@@ -1,13 +1,18 @@
 import argparse
 import io
 import json
+import random
+import time
 
 import pytest
 
-from incdim import generate_family, write_edge_list
+from incdim import generate_family, is_incidence_generator, write_edge_list
+from incdim.corpus import random_tree
 from incdim.graph import FAMILIES
 from incdim import cli
 from incdim.cli import main
+
+from .conftest import oracle_tree_domination
 
 
 @pytest.fixture
@@ -107,14 +112,33 @@ def test_back_to_back_calls_share_no_options(capsys, figure1_file):
 
 
 def test_rho_needs_no_recursion(capsys, tmp_path):
-    # The include-first search takes one branch per vertex: 1500 levels
-    # deep here, beyond the default recursion limit.
+    # 1500 vertices, beyond the default recursion limit: the conflict
+    # graph is edgeless, so the exact route takes every vertex at once.
     path = tmp_path / "edgeless.txt"
     path.write_text("1500 0\n")
     code, report = run_json(capsys, ["rho", str(path)])
     assert code == 0
     assert report["results"]["rho"] == 1500
     assert report["results"]["witness"] == list(range(1500))
+
+
+def test_rho_and_dimi_answer_on_a_1000_vertex_tree(capsys, tmp_path):
+    # The square of a tree is chordal, so both commands take the exact
+    # route; the chain-bound search gives no answer here in 20 s.
+    g = random_tree(1000, random.Random(0))
+    path = tmp_path / "tree.txt"
+    write_edge_list(g, path)
+    rho = oracle_tree_domination(g)
+    started = time.perf_counter()
+    code, report = run_json(capsys, ["rho", str(path)])
+    assert code == 0 and time.perf_counter() - started < 2
+    assert report["results"]["rho"] == rho
+    started = time.perf_counter()
+    code, report = run_json(capsys, ["dimi", str(path)])
+    assert code == 0 and time.perf_counter() - started < 2
+    value, basis = report["results"]["value"], report["results"]["basis"]
+    assert is_incidence_generator(g, basis)
+    assert g.n - rho - 1 <= value == len(basis) <= g.n - rho
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch, figure1_file):
@@ -314,3 +338,27 @@ def test_verify_random_needs_seed(capsys):
 
 def test_verify_exhaustive_n7_needs_slow(capsys):
     assert main(["verify", "exhaustive", "-n", "7"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "random", "-n", "5", "--count", "-2", "--seed", "1"],
+    ["verify", "random", "-n", "5", "--count", "0", "--seed", "1"],
+    ["verify", "exhaustive", "-n", "-1"],
+    ["verify", "exhaustive", "-n", "0"],
+])
+def test_verify_rejects_an_empty_corpus(capsys, argv):
+    # A suite that checks no graph must not report passed: true.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [["--all"], []])
+def test_rho_rejects_negative_witness_cap(capsys, figure1_file, flags):
+    assert main(["rho", figure1_file, "--witness-cap", "-1"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --witness-cap must be non-negative\n"
+

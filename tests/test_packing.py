@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -9,11 +10,15 @@ from incdim import (WitnessCapExceeded, build_graph, build_reduction,
                     classify, dim_I_structural, e_critical_packing,
                     generate_family, has_unique_max_packing, is_packing,
                     max_packing, neighbors, remove_edge)
-from incdim.corpus import all_labeled_graphs, random_graphs
-from incdim.packing import _chain_top, _mask_to_set, _search
+from incdim.corpus import all_labeled_graphs, random_graphs, random_tree
+from incdim.graph import _is_peo
+from incdim.incidence import is_incidence_generator
+from incdim.packing import _best, _chain_top, _mask_to_set, _search
 
-from .conftest import (oracle_e_critical_size, oracle_e_critical_witness,
-                       oracle_is_packing, oracle_max_packings, small_graphs)
+from .conftest import (_oracle_distances, oracle_dim_I,
+                       oracle_e_critical_size, oracle_e_critical_witness,
+                       oracle_is_packing, oracle_is_peo, oracle_max_packings,
+                       oracle_tree_domination, small_graphs, small_trees)
 from .test_reduction import SCALE_FORMULAS
 
 
@@ -254,3 +259,104 @@ def test_unique_max_packing():
     edges = [(3 * i + a, 3 * i + b) for i in range(13)
              for a, b in ((0, 1), (1, 2), (0, 2))]
     assert not has_unique_max_packing(build_graph(39, edges))
+
+
+def test_search_needs_no_recursion():
+    # The include-first search takes one branch per vertex: 1500 levels
+    # deep on an edgeless graph, beyond the default recursion limit.
+    balls = tuple(1 << v for v in range(1500))
+    assert _search(balls, (1 << 1500) - 1, -1) == [(1 << 1500) - 1]
+
+
+# ---------------------------------------------------------------------------
+# the exact route on conflict graphs with a perfect elimination ordering
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(), st.randoms(use_true_random=False))
+def test_is_peo_matches_oracle(g, rnd):
+    # The check is exact on any order: relabel g so the order under test
+    # is the identity.
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    h = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    assert _is_peo(h.ball2_masks) == oracle_is_peo(h, range(h.n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_graphs(), small_trees()))
+def test_conflict_peo_is_verified(g):
+    # The order returned is a PEO by the oracle, and its balls are the
+    # conflict balls in PEO positions; None only when identity fails.
+    if g.conflict_peo is None:
+        assert not oracle_is_peo(g, range(g.n))
+        return
+    rank, pballs = g.conflict_peo
+    order = sorted(range(g.n), key=rank.__getitem__)
+    assert oracle_is_peo(g, order)
+    d = _oracle_distances(g)
+    assert [sorted(_mask_to_set(b)) for b in pballs] == [
+        sorted(rank[u] for u in range(g.n) if d[v][u] <= 2) for v in order]
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_trees(), st.data())
+def test_every_forest_has_a_conflict_peo(tree, data):
+    keep = data.draw(st.sets(st.sampled_from(tree.sorted_edges))
+                     if tree.m else st.just(set()), label="keep")
+    g = build_graph(tree.n, keep)
+    assert g.conflict_peo is not None
+    assert max_packing(g).size == oracle_tree_domination(g)
+
+
+@pytest.mark.parametrize("g", [
+    generate_family("cycle", 6), generate_family("cycle", 7),
+    build_graph(8, generate_family("cycle", 6).edges),
+    build_reduction(SCALE_FORMULAS[0]).graph],
+    ids=["C6", "C7", "C6+2K1", "6/24"])
+def test_conflict_peo_none(g):
+    # C6 + 2K1 has m < n, so the BFS order is tried and must fail too.
+    assert g.conflict_peo is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_graphs(), small_trees()), st.data())
+def test_exact_route_and_chain_bound_match_oracle(g, data):
+    # Both routes on the same graph: _best takes the exact route when g
+    # has a conflict PEO, _search is the chain-bound search.  Each must
+    # give the oracle's lexicographically smallest maximum packing of the
+    # vertices beyond distance 2 of drop, at every floor.
+    drop = data.draw(st.sets(st.integers(0, g.n - 1), max_size=3),
+                     label="drop")
+    d = _oracle_distances(g)
+    within = [v for v in range(g.n) if all(d[v][x] > 2 for x in drop)]
+    cands = sum(1 << v for v in within)
+    best, inside = oracle_max_packings(g, within=within)
+    lex = min(inside, key=sorted)
+    for floor in range(-1, g.n + 1):
+        expected = [lex] if best > floor else []
+        assert [_mask_to_set(m) for m in _best(g, drop, floor)] == expected
+        assert [_mask_to_set(m) for m in
+                _search(g.ball2_masks, cands, floor)] == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_trees(max_n=10))
+def test_trees_e_critical_and_dimension_match_oracle(g):
+    rho_res = max_packing(g)
+    for e in g.sorted_edges:
+        ge = remove_edge(g, e)
+        res = e_critical_packing(g, e, rho_res)
+        assert res.size == oracle_e_critical_size(g, ge, e)
+        assert res.witness == oracle_e_critical_witness(g, ge, e, res.size)
+    if g.m:
+        res = dim_I_structural(g, rho_res)
+        assert res.value == oracle_dim_I(g)
+        assert is_incidence_generator(g, res.basis)
+
+
+def test_tree_rho_is_the_domination_number():
+    for n in (50, 100, 200):
+        for seed in range(3):
+            g = random_tree(n, random.Random(seed))
+            assert g.conflict_peo is not None
+            assert max_packing(g).size == oracle_tree_domination(g)
