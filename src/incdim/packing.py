@@ -183,11 +183,6 @@ def _best(g, drop, floor):
     if peo is None:
         return _search(balls, cands, floor)
     rank, pballs = peo
-    if pballs is balls:
-        # The identity order: the lowest candidate is also the earliest,
-        # so the ascending pass below takes every vertex it reaches.
-        cur = _greedy(balls, cands)
-        return [cur] if cur.bit_count() > floor else []
     pcands = (1 << g.n) - 1
     for x in drop:
         pcands &= ~pballs[rank[x]]
