@@ -131,10 +131,9 @@ def cmd_dime(args):
 def cmd_classify(args):
     started = time.perf_counter()
     g = _load_graph(args.graph)
-    rho_res = packing.max_packing(g)
-    label = incidence.classify(g, rho_res)
+    label = incidence.classify(g)
     # classify has already checked that dim_I is n - rho or n - rho - 1.
-    rho = rho_res.size
+    rho = g.max_packing.size
     value = g.n - rho - (label == incidence.CLASS_MINUS_ONE)
     results = {"class": label, "dim_I": value, "rho": rho}
     results.update(_graph_meta(g, started))

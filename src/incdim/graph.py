@@ -56,8 +56,11 @@ class Graph:
     """Simple undirected graph; construct through build_graph.
 
     Only n and the edge set are stored.  The adjacency masks, the
-    distance-2 balls, the conflict graph's elimination ordering and the
-    sorted edge tuple are cached properties computed on first access.
+    distance-2 balls, the conflict graph's elimination ordering, the
+    sorted edge tuple and the maximum 2-packing are cached properties
+    computed on first access, so the maximum packing is computed once
+    per graph and shared by e_critical_packing, dim_I_structural,
+    classify and dim_I_brute.
     """
 
     n: int
@@ -110,6 +113,14 @@ class Graph:
     @cached_property
     def sorted_edges(self):
         return tuple(sorted(self.edges))
+
+    @cached_property
+    def max_packing(self):
+        """The lexicographically smallest maximum 2-packing, as a
+        packing.PackingResult."""
+        from .packing import PackingResult, _best   # packing imports graph
+        (mask,) = _best(self, (), -1)
+        return PackingResult(mask.bit_count(), _mask_to_set(mask), mask=mask)
 
     @property
     def m(self):

@@ -85,33 +85,31 @@ def dim_I_brute(g, full_search=False):
     """
     if g.m <= 1:
         return DimResult(value=0, basis=frozenset(), method="brute")
-    floor = 0 if full_search else max(0, g.n - max_packing(g).size - 1)
+    floor = 0 if full_search else max(0, g.n - g.max_packing.size - 1)
     pairs = starmap(xor, combinations(_edge_masks(g), 2))
     basis = _mask_to_set(min_hitting_set(g.n, pairs, floor))
     return DimResult(value=len(basis), basis=basis, method="brute")
 
 
-def dim_I_structural(g, rho_res=None):
+def dim_I_structural(g):
     """Exact dimension as n - k with k the best e-critical packing size.
 
     The basis is the complement of the witness of the first achieving
     edge (edges scanned in ascending order).  k is rho + 1 at the first
     edge whose e-critical packing holds both endpoints and rho + 1
     vertices, and otherwise rho, achieved first by the smallest edge.
-    rho_res, when given, must be max_packing(g).
     """
     if g.m == 0:
         raise ValueError("structural method requires an edge")
-    if rho_res is None:
-        rho_res = max_packing(g)
+    rho = g.max_packing.size
     for u, v in g.sorted_edges:
-        forced = _with_endpoints(g, u, v, rho_res.size)
+        forced = _with_endpoints(g, u, v, rho)
         if forced is not None:
             edge, witness = (u, v), _mask_to_set(forced)
             break
     else:
         edge = g.sorted_edges[0]
-        witness = e_critical_packing(g, edge, rho_res).witness
+        witness = e_critical_packing(g, edge).witness
     basis = frozenset(range(g.n)) - witness
     if not is_incidence_generator(g, basis):
         raise AssertionError(
@@ -149,17 +147,11 @@ def dim_I_formula(family, *params):
     return (2 * n) // 3
 
 
-def classify(g, rho_res=None):
+def classify(g):
     """Partition label: CLASS_MINUS_ONE when dim_I = n - rho - 1,
-    CLASS_EXACT when dim_I = n - rho.  rho_res, when given, must be
-    max_packing(g)."""
-    if rho_res is None:
-        rho_res = max_packing(g)
-    rho = rho_res.size
-    if g.m == 0:
-        value = 0
-    else:
-        value = dim_I_structural(g, rho_res).value
+    CLASS_EXACT when dim_I = n - rho."""
+    rho = g.max_packing.size
+    value = dim_I_structural(g).value if g.m else 0
     if value == g.n - rho - 1:
         return CLASS_MINUS_ONE
     if value == g.n - rho:
@@ -186,7 +178,7 @@ def check_symdiff_condition(g, witness_cap=DEFAULT_WITNESS_CAP):
             if any(u in sym and v in sym for u, v in g.edges):
                 witness_pair = (p1, p2)
                 break
-    return {"class": classify(g, res), "witness_pair": witness_pair}
+    return {"class": classify(g), "witness_pair": witness_pair}
 
 
 def common_neighbor_characterization(g):

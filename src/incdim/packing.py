@@ -41,11 +41,14 @@ Then the rest of the set is exactly a 2-packing of G avoiding
 ball2(u) | ball2(v): removing e changes no distance-2 relation
 between two vertices other than u and v.  So |P_e| = max(rho,
 2 + p_e), with p_e the packing number of G on that candidate set,
-and each edge costs at most one search restricted to it.
+and each edge costs at most one search restricted to it: rho and its
+witness are computed once per graph (Graph.max_packing) and shared by
+max_packing, e_critical_packing, dim_I_structural, classify and
+dim_I_brute.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .graph import _graph_edge, _mask_to_set, _vertex_mask
 
@@ -209,20 +212,17 @@ def _best(g, drop, floor):
 
 
 def max_packing(g, enumerate_all=False, witness_cap=DEFAULT_WITNESS_CAP):
-    """Maximum 2-packing of g.
-
-    The witness is the lexicographically smallest maximum packing.
-    With enumerate_all, all_witnesses lists every maximum packing (in
-    lexicographic order), guarded by witness_cap.
+    """Maximum 2-packing of g: g.max_packing, whose witness is the
+    lexicographically smallest maximum packing.  With enumerate_all, a
+    fresh copy also lists every maximum packing (in lexicographic
+    order) in all_witnesses, guarded by witness_cap.
     """
-    (mask,) = _best(g, (), -1)
-    size = mask.bit_count()
-    witnesses = None
+    res = g.max_packing
     if enumerate_all:
-        masks = _search(g.ball2_masks, (1 << g.n) - 1, size - 1, witness_cap)
-        witnesses = tuple(_mask_to_set(m) for m in masks)
-    return PackingResult(size=size, witness=_mask_to_set(mask),
-                         all_witnesses=witnesses, mask=mask)
+        masks = _search(g.ball2_masks, (1 << g.n) - 1, res.size - 1,
+                        witness_cap)
+        res = replace(res, all_witnesses=tuple(map(_mask_to_set, masks)))
+    return res
 
 
 def _with_endpoints(g, u, v, floor):
@@ -235,28 +235,23 @@ def _with_endpoints(g, u, v, floor):
     return rest[0] | (1 << u) | (1 << v) if rest else None
 
 
-def e_critical_packing(g, e, rho_res=None):
+def e_critical_packing(g, e):
     """Maximum 2-packing of G-e subject to the endpoint condition: a set
     containing fewer than both endpoints of e must also be a 2-packing
     of G itself.
 
-    rho_res, when given, must be max_packing(g); it saves recomputing
-    it.  The witness is the lexicographically smallest maximum set.
+    The witness is the lexicographically smallest maximum set.
     """
     u, v = _graph_edge(g, e)
-    if rho_res is None:
-        rho_res = max_packing(g)
-    mask = rho_res.mask
-    if mask is None:
-        mask = _vertex_mask(g, rho_res.witness)
+    rho, mask = g.max_packing.size, g.max_packing.mask
     # The feasible sets missing an endpoint are the packings of G, led
-    # by rho_res's witness; those holding both have at most rho + 1
-    # vertices.  Of two sets of equal size the lexicographically
-    # smaller holds the lowest vertex of their symmetric difference.
-    forced = _with_endpoints(g, u, v, rho_res.size - 1)
+    # by mask; those holding both have at most rho + 1 vertices.  Of two
+    # sets of equal size the lexicographically smaller holds the lowest
+    # vertex of their symmetric difference.
+    forced = _with_endpoints(g, u, v, rho - 1)
     if forced is not None:
         low = (forced ^ mask) & -(forced ^ mask)
-        if forced.bit_count() > rho_res.size or forced & low:
+        if forced.bit_count() > rho or forced & low:
             mask = forced
     both = mask == forced
     return CriticalPackingResult(

@@ -7,9 +7,10 @@ plus the offending values) for every failed invariant.
 from __future__ import annotations
 
 from .graph import format_edge_list, is_connected, is_edge_triangular
-from .incidence import dim_I_brute, dim_I_structural, is_incidence_generator
+from .incidence import (common_neighbor_characterization, dim_I_brute,
+                        dim_I_structural, is_incidence_generator)
 from .metric import dim_A, dim_e, is_adjacency_generator
-from .packing import e_critical_packing, is_packing, max_packing
+from .packing import e_critical_packing, is_packing
 
 INVARIANTS = (
     "theorem_nk",
@@ -26,11 +27,11 @@ def _evaluate(g, full_brute, with_metric):
     """Invariant results for one graph: {name: (ok, detail-or-None)}."""
     out = {}
     adj = g.adj_masks
-    rho_res = max_packing(g)
-    rho = rho_res.size
+    witness = g.max_packing.witness
+    rho = len(witness)
     brute = dim_I_brute(g, full_search=full_brute)
     if g.m >= 1:
-        structural = dim_I_structural(g, rho_res)
+        structural = dim_I_structural(g)
         value = structural.value
     else:
         structural = None
@@ -46,7 +47,7 @@ def _evaluate(g, full_brute, with_metric):
 
     ok, detail = True, None
     for e in g.sorted_edges:
-        res = e_critical_packing(g, e, rho_res)
+        res = e_critical_packing(g, e)
         if not rho <= res.size <= rho + 1:
             ok, detail = False, f"edge {e}: |P_e|={res.size} rho={rho}"
             break
@@ -59,11 +60,11 @@ def _evaluate(g, full_brute, with_metric):
                 break
     out["bound_two"] = (ok, detail)
 
-    complement = frozenset(range(g.n)) - rho_res.witness
+    complement = frozenset(range(g.n)) - witness
     covers = all(u in complement or v in complement for u, v in g.edges)
     ok = covers and is_incidence_generator(g, complement)
     out["packing_complement_generator"] = (
-        ok, None if ok else f"packing {sorted(rho_res.witness)}")
+        ok, None if ok else f"packing {sorted(witness)}")
 
     ok, detail = True, None
     if is_edge_triangular(g):
@@ -106,8 +107,7 @@ def _evaluate(g, full_brute, with_metric):
         if not g.n // 2 <= value <= g.n - 1:
             ok, detail = False, f"dim_I={value} outside [n/2, n-1]"
         else:
-            common = all(adj[u] & adj[v]
-                         for u in range(g.n) for v in range(u + 1, g.n))
+            common = common_neighbor_characterization(g)
             if common != (value == g.n - 1):
                 ok, detail = False, ("common-neighbor characterization "
                                      f"mismatch: common={common} dim={value}")
@@ -128,12 +128,11 @@ def run_suite(graphs, full_brute=True, with_metric=True):
         for name, (ok, detail) in results.items():
             entry = report[name]
             entry["checked"] += 1
-            if not ok and entry["counterexample"] is None:
+            if not ok:
                 entry["failed"] += 1
-                entry["counterexample"] = (
-                    f"{detail}\n{format_edge_list(g)}")
-            elif not ok:
-                entry["failed"] += 1
+                if entry["counterexample"] is None:
+                    entry["counterexample"] = (
+                        f"{detail}\n{format_edge_list(g)}")
     return report
 
 

@@ -48,15 +48,10 @@ class Record:
 
 
 def _analyze(g, full_brute, with_metric):
-    # One packing per graph, passed as rho_res (the callee's documented
-    # contract); the default path is covered in test_packing.py and
-    # test_incidence.py.
-    rho_res = I.max_packing(g)
     brute = I.dim_I_brute(g, full_search=full_brute)
-    pe_sizes = {e: I.e_critical_packing(g, e, rho_res).size
-                for e in g.sorted_edges}
+    pe_sizes = {e: I.e_critical_packing(g, e).size for e in g.sorted_edges}
     if g.m:
-        structural = I.dim_I_structural(g, rho_res)
+        structural = I.dim_I_structural(g)
         dim_structural, basis = structural.value, structural.basis
     else:
         dim_structural, basis = brute.value, brute.basis
@@ -64,7 +59,7 @@ def _analyze(g, full_brute, with_metric):
     has_isolated = not all(adj)
     has_k2 = any(adj[u].bit_count() == 1 and adj[v].bit_count() == 1
                  for u, v in g.edges)
-    rec = Record(g=g, rho=rho_res.size, dim_brute=brute.value,
+    rec = Record(g=g, rho=I.max_packing(g).size, dim_brute=brute.value,
                  dim_structural=dim_structural, basis=basis,
                  pe_sizes=pe_sizes,
                  edge_triangular=I.is_edge_triangular(g),

@@ -1,12 +1,17 @@
 import argparse
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
-from incdim import generate_family, is_incidence_generator, write_edge_list
+import incdim
+from incdim import (DimResult, generate_family, is_incidence_generator,
+                    verify, write_edge_list)
 from incdim.corpus import random_tree
 from incdim.graph import FAMILIES
 from incdim import cli
@@ -141,6 +146,19 @@ def test_rho_and_dimi_answer_on_a_1000_vertex_tree(capsys, tmp_path):
     assert g.n - rho - 1 <= value == len(basis) <= g.n - rho
 
 
+def test_import_leaves_networkx_unloaded():
+    # networkx serves only the tree enumeration in incdim.corpus and
+    # takes several times longer to import than all of incdim, so the
+    # package and its CLI must not load it at import time.
+    src = os.path.dirname(os.path.dirname(incdim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, incdim, incdim.cli; print('networkx' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
+
+
 def test_parser_is_built_once_per_process(capsys, monkeypatch, figure1_file):
     built = []
     init = argparse.ArgumentParser.__init__
@@ -178,7 +196,7 @@ def test_usage_error_leaves_next_call_correct(capsys, figure1_file):
 def test_internal_error_is_one_line_exit_3(capsys, monkeypatch, p8_file):
     from incdim import incidence
 
-    def broken(g, rho_res=None):
+    def broken(g):
         raise AssertionError("structural basis failed\nthe generator check")
 
     monkeypatch.setattr(incidence, "dim_I_structural", broken)
@@ -338,6 +356,27 @@ def test_verify_random_needs_seed(capsys):
 
 def test_verify_exhaustive_n7_needs_slow(capsys):
     assert main(["verify", "exhaustive", "-n", "7"]) == 2
+    assert main(["verify", "exhaustive", "-n", "8"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: exhaustive corpus is limited to n <= 7")
+
+
+def test_verify_failure_plain_text(capsys, monkeypatch):
+    # An off-by-one structural solver: the text report marks the theorem
+    # check FAIL with its counts and counterexample, and exits 1.
+    def broken(g):
+        res = verify.dim_I_brute(g)
+        return DimResult(value=res.value + 1, basis=res.basis,
+                         method="structural")
+    monkeypatch.setattr(verify, "dim_I_structural", broken)
+    code = main(["verify", "random", "-n", "5", "--count", "10",
+                 "--seed", "9", "--no-metric"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "passed: False" in out
+    assert ("theorem_nk: FAIL  (checked=10 failed=10 counterexample: "
+            "brute=") in out
+    assert "bound_two: pass  (checked=10)" in out
 
 
 @pytest.mark.parametrize("argv", [

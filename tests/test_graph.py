@@ -41,6 +41,8 @@ def test_build_rejects_self_loop():
 def test_build_rejects_out_of_range():
     with pytest.raises(ValueError, match="vertex out of range"):
         build_graph(3, [(0, 3)])
+    with pytest.raises(ValueError, match="vertex count must be non-negative"):
+        build_graph(-1, [])
 
 
 def test_neighbors(figure1):
@@ -194,6 +196,12 @@ def test_edge_list_errors_carry_line_numbers():
         parse_edge_list("nope\n")
     with pytest.raises(ValueError, match="declares"):
         parse_edge_list("3 2\n0 1\n")
+    for text, message in [
+            ("3 1\n0 1 2\n", "line 2: edge line must be 'u v'"),
+            ("3 1\n2 2\n", "line 2: self-loop at vertex 2"),
+            ("3 1\n0 5\n", "line 2: vertex out of range")]:
+        with pytest.raises(ValueError, match=message):
+            parse_edge_list(text)
 
 
 @settings(max_examples=300, deadline=None)

@@ -119,12 +119,6 @@ def test_dim_structural_basis_follows_first_edge_witness():
     assert res.basis == {2, 3}
 
 
-def test_dim_structural_reuses_given_max_packing():
-    for g in random_graphs(8, 40, seed=67):
-        if g.m:
-            assert dim_I_structural(g, max_packing(g)) == dim_I_structural(g)
-
-
 @settings(max_examples=150, deadline=None)
 @given(small_graphs())
 def test_dim_structural_matches_oracle(g):

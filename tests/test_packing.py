@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incdim import (WitnessCapExceeded, build_graph, build_reduction,
-                    classify, dim_I_structural, e_critical_packing,
-                    generate_family, has_unique_max_packing, is_packing,
-                    max_packing, neighbors, remove_edge)
+                    classify, dim_I_brute, dim_I_structural,
+                    e_critical_packing, generate_family,
+                    has_unique_max_packing, is_packing, max_packing,
+                    neighbors, packing, remove_edge)
 from incdim.corpus import all_labeled_graphs, random_graphs, random_tree
 from incdim.graph import _is_peo
 from incdim.incidence import is_incidence_generator
@@ -46,10 +47,9 @@ def test_packing_route_builds_no_distance_table():
     # rho, the structural dimension and the class need only the
     # distance-2 balls, never the n x n table.
     g = build_reduction(SCALE_FORMULAS[0]).graph
-    rho_res = max_packing(g)
-    dim_I_structural(g, rho_res)
-    classify(g, rho_res)
-    assert is_packing(g, rho_res.witness)
+    dim_I_structural(g)
+    classify(g)
+    assert is_packing(g, max_packing(g).witness)
     assert "dist" not in vars(g)
 
 
@@ -182,12 +182,34 @@ def test_e_critical_witness_prefers_endpoints_when_lex_smaller():
     assert res.contains_both_endpoints and not res.is_packing_of_g
 
 
-def test_e_critical_reuses_given_max_packing():
-    for g in random_graphs(8, 40, seed=29):
-        rho_res = max_packing(g)
+def test_max_packing_is_computed_once_per_graph(monkeypatch):
+    # Every structural route reads the one cached maximum packing, so
+    # the kernel's max mode (_best with nothing dropped) runs once per
+    # graph however many callers and edges ask for rho.
+    calls = []
+
+    def counting(g, drop, floor):
+        if not drop:
+            calls.append(id(g))
+        return _best(g, drop, floor)
+
+    monkeypatch.setattr(packing, "_best", counting)
+    graphs = list(random_graphs(8, 30, seed=97))
+    graphs += [random_tree(40, random.Random(3)), build_graph(3, [])]
+    for g in graphs:
+        res = max_packing(g)
+        assert max_packing(g) is res
+        classify(g)
+        dim_I_brute(g)
+        if g.m:
+            dim_I_structural(g)
         for e in g.sorted_edges:
-            assert e_critical_packing(g, e, rho_res) == \
-                e_critical_packing(g, e)
+            e_critical_packing(g, e)
+        enum = max_packing(g, enumerate_all=True)
+        assert enum is not res and res.all_witnesses is None
+        assert (enum.size, enum.witness) == (res.size, res.witness)
+        assert enum.witness in enum.all_witnesses
+    assert calls == [id(g) for g in graphs]
 
 
 @settings(max_examples=150, deadline=None)
@@ -342,14 +364,13 @@ def test_exact_route_and_chain_bound_match_oracle(g, data):
 @settings(max_examples=60, deadline=None)
 @given(small_trees(max_n=10))
 def test_trees_e_critical_and_dimension_match_oracle(g):
-    rho_res = max_packing(g)
     for e in g.sorted_edges:
         ge = remove_edge(g, e)
-        res = e_critical_packing(g, e, rho_res)
+        res = e_critical_packing(g, e)
         assert res.size == oracle_e_critical_size(g, ge, e)
         assert res.witness == oracle_e_critical_witness(g, ge, e, res.size)
     if g.m:
-        res = dim_I_structural(g, rho_res)
+        res = dim_I_structural(g)
         assert res.value == oracle_dim_I(g)
         assert is_incidence_generator(g, res.basis)
 

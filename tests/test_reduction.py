@@ -71,8 +71,17 @@ def test_parse_rejects_repeated_variable():
 def test_parse_rejects_bad_header():
     with pytest.raises(ValueError, match="malformed DIMACS header"):
         parse_cnf("p dnf 3 1\n1 2 3 0\n")
+    with pytest.raises(ValueError, match="malformed DIMACS header"):
+        parse_cnf("p cnf x 1\n")
     with pytest.raises(ValueError, match="declares"):
         parse_cnf("p cnf 3 2\n1 2 3 0\n")
+
+
+def test_parse_rejects_bad_clause_lines():
+    with pytest.raises(ValueError, match="line 2: expected integer literals"):
+        parse_cnf("p cnf 3 1\n1 2 a 0\n")
+    with pytest.raises(ValueError, match="unterminated clause"):
+        parse_cnf("p cnf 3 1\n1 2 3\n")
 
 
 def test_parse_renumbers_dense():
