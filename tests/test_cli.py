@@ -10,8 +10,7 @@ import time
 import pytest
 
 import incdim
-from incdim import (DimResult, generate_family, is_incidence_generator,
-                    verify, write_edge_list)
+from incdim import generate_family, is_incidence_generator, write_edge_list
 from incdim.corpus import random_tree
 from incdim.graph import FAMILIES
 from incdim import cli
@@ -359,24 +358,6 @@ def test_verify_exhaustive_n7_needs_slow(capsys):
     assert main(["verify", "exhaustive", "-n", "8"]) == 2
     assert capsys.readouterr().err.splitlines()[-1] == (
         "error: exhaustive corpus is limited to n <= 7")
-
-
-def test_verify_failure_plain_text(capsys, monkeypatch):
-    # An off-by-one structural solver: the text report marks the theorem
-    # check FAIL with its counts and counterexample, and exits 1.
-    def broken(g):
-        res = verify.dim_I_brute(g)
-        return DimResult(value=res.value + 1, basis=res.basis,
-                         method="structural")
-    monkeypatch.setattr(verify, "dim_I_structural", broken)
-    code = main(["verify", "random", "-n", "5", "--count", "10",
-                 "--seed", "9", "--no-metric"])
-    assert code == 1
-    out = capsys.readouterr().out
-    assert "passed: False" in out
-    assert ("theorem_nk: FAIL  (checked=10 failed=10 counterexample: "
-            "brute=") in out
-    assert "bound_two: pass  (checked=10)" in out
 
 
 @pytest.mark.parametrize("argv", [
