@@ -1,11 +1,15 @@
 """Command-line front end.
 
 Commands: dimi, rho, ecritical, dima, dime, classify, gen, reduce,
-extract, verify.  Default output is aligned plain text; --json emits a
-machine-readable report.  Exit status is 1 on a failed check, 2 on
-bad input or an exceeded witness cap (one `error:` line on stderr),
-and 3 on an unexpected internal error (one `error: internal:` line
-naming the exception, no traceback).
+extract, verify.  The first six take a graph, read from a file or from
+stdin when the path is `-`, and end their results with n, m and the
+wall time in seconds, load included.  `dimi` answers every graph,
+edgeless ones included, by the structural route unless `--method
+brute` is given.  Default output is aligned plain text; --json emits a
+machine-readable report on one line.  Exit status is 1 on a failed
+check, 2 on bad input or an exceeded witness cap (one `error:` line on
+stderr), and 3 on an unexpected internal error (one `error: internal:`
+line naming the exception, no traceback).
 
 The argument parser is built on the first `main` call and reused by
 every later call in the process; parsing keeps no state between calls.
@@ -31,7 +35,7 @@ def _load_graph(path):
 
 def _emit(report, as_json):
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(report, sort_keys=True))
         return
     print(f"command: {report['command']}")
     for key, val in report["inputs"].items():
@@ -51,18 +55,8 @@ def _report(command, inputs, results, checks=()):
             "checks": list(checks)}
 
 
-def _graph_meta(g, started):
-    return {"n": g.n, "m": g.m,
-            "wall_time_s": round(time.perf_counter() - started, 6)}
-
-
-def cmd_dimi(args):
-    started = time.perf_counter()
-    g = _load_graph(args.graph)
-    method = args.method
-    if method == "auto":
-        method = "structural" if g.m >= 1 else "brute"
-    if method == "structural":
+def cmd_dimi(args, g):
+    if args.method == "structural":
         res = incidence.dim_I_structural(g)
     else:
         res = incidence.dim_I_brute(g, full_search=args.full_search)
@@ -70,7 +64,6 @@ def cmd_dimi(args):
                "method": res.method,
                "achieving_edge": list(res.achieving_edge)
                if res.achieving_edge else None}
-    results.update(_graph_meta(g, started))
     return _report("dimi", {"graph": args.graph, "method": args.method},
                    results)
 
@@ -82,62 +75,47 @@ def cmd_dimi_formula(args):
                    {"value": value, "method": "formula"})
 
 
-def cmd_rho(args):
-    started = time.perf_counter()
+def cmd_rho(args, g):
     if args.witness_cap < 0:
         raise ValueError("--witness-cap must be non-negative")
-    g = _load_graph(args.graph)
     res = packing.max_packing(g, enumerate_all=args.all,
                               witness_cap=args.witness_cap)
     results = {"rho": res.size, "witness": sorted(res.witness)}
     if res.all_witnesses is not None:
         results["witness_count"] = len(res.all_witnesses)
         results["all_witnesses"] = [sorted(w) for w in res.all_witnesses]
-    results.update(_graph_meta(g, started))
     return _report("rho", {"graph": args.graph}, results)
 
 
-def cmd_ecritical(args):
-    started = time.perf_counter()
-    g = _load_graph(args.graph)
+def cmd_ecritical(args, g):
     res = packing.e_critical_packing(g, (args.u, args.v))
     results = {"edge": list(res.edge), "size": res.size,
                "witness": sorted(res.witness),
                "is_packing_of_G": res.is_packing_of_g,
                "contains_both_endpoints": res.contains_both_endpoints}
-    results.update(_graph_meta(g, started))
     return _report("ecritical",
                    {"graph": args.graph, "edge": [args.u, args.v]}, results)
 
 
-def cmd_dima(args):
-    started = time.perf_counter()
-    g = _load_graph(args.graph)
+def cmd_dima(args, g):
     res = metric.dim_A(g)
-    results = {"value": res.value, "basis": sorted(res.basis)}
-    results.update(_graph_meta(g, started))
-    return _report("dima", {"graph": args.graph}, results)
+    return _report("dima", {"graph": args.graph},
+                   {"value": res.value, "basis": sorted(res.basis)})
 
 
-def cmd_dime(args):
-    started = time.perf_counter()
-    g = _load_graph(args.graph)
+def cmd_dime(args, g):
     res = metric.dim_e(g)
-    results = {"value": res.value, "basis": sorted(res.basis)}
-    results.update(_graph_meta(g, started))
-    return _report("dime", {"graph": args.graph}, results)
+    return _report("dime", {"graph": args.graph},
+                   {"value": res.value, "basis": sorted(res.basis)})
 
 
-def cmd_classify(args):
-    started = time.perf_counter()
-    g = _load_graph(args.graph)
+def cmd_classify(args, g):
     label = incidence.classify(g)
     # classify has already checked that dim_I is n - rho or n - rho - 1.
     rho = g.max_packing.size
     value = g.n - rho - (label == incidence.CLASS_MINUS_ONE)
-    results = {"class": label, "dim_I": value, "rho": rho}
-    results.update(_graph_meta(g, started))
-    return _report("classify", {"graph": args.graph}, results)
+    return _report("classify", {"graph": args.graph},
+                   {"class": label, "dim_I": value, "rho": rho})
 
 
 def cmd_gen(args):
@@ -225,8 +203,7 @@ def cmd_verify(args):
         graphs = random_graphs(args.n, args.count, args.seed)
         inputs = {"corpus": "random", "n": args.n, "count": args.count,
                   "seed": args.seed}
-    report = verify.run_suite(graphs, full_brute=not args.fast_brute,
-                              with_metric=not args.no_metric)
+    report = verify.run_suite(graphs, with_metric=not args.no_metric)
     checks = []
     for name, entry in report.items():
         detail = f"checked={entry['checked']}"
@@ -239,6 +216,20 @@ def cmd_verify(args):
     return _report("verify", inputs, results, checks)
 
 
+def _run(args):
+    """The command's report.  A graph command (one with a `graph`
+    argument) gets the loaded graph, and its results end with n, m and
+    the wall time from before the load."""
+    if not hasattr(args, "graph"):
+        return args.func(args)
+    started = time.perf_counter()
+    g = _load_graph(args.graph)
+    report = args.func(args, g)
+    report["results"].update(
+        n=g.n, m=g.m, wall_time_s=round(time.perf_counter() - started, 6))
+    return report
+
+
 @functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -249,13 +240,17 @@ def build_parser():
                         help="emit machine-readable JSON")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dimi", help="incidence dimension of a graph file")
-    p.add_argument("graph")
-    p.add_argument("--method", default="auto",
-                   choices=["auto", "brute", "structural"])
+    def graph_command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("graph")
+        p.set_defaults(func=func)
+        return p
+
+    p = graph_command("dimi", cmd_dimi, "incidence dimension of a graph file")
+    p.add_argument("--method", default="structural",
+                   choices=["brute", "structural"])
     p.add_argument("--full-search", action="store_true",
                    help="brute search from size 0 (no sandwich shortcut)")
-    p.set_defaults(func=cmd_dimi)
 
     p = sub.add_parser("dimi-formula", help="closed-formula dimension")
     p.add_argument("family", choices=["complete", "path", "cycle",
@@ -263,31 +258,20 @@ def build_parser():
     p.add_argument("params", nargs="+", type=int)
     p.set_defaults(func=cmd_dimi_formula)
 
-    p = sub.add_parser("rho", help="maximum 2-packing")
-    p.add_argument("graph")
+    p = graph_command("rho", cmd_rho, "maximum 2-packing")
     p.add_argument("--all", action="store_true",
                    help="enumerate every maximum packing")
     p.add_argument("--witness-cap", type=int,
                    default=packing.DEFAULT_WITNESS_CAP)
-    p.set_defaults(func=cmd_rho)
 
-    p = sub.add_parser("ecritical", help="e-critical packing for one edge")
-    p.add_argument("graph")
+    p = graph_command("ecritical", cmd_ecritical,
+                      "e-critical packing for one edge")
     p.add_argument("u", type=int)
     p.add_argument("v", type=int)
-    p.set_defaults(func=cmd_ecritical)
 
-    p = sub.add_parser("dima", help="adjacency dimension")
-    p.add_argument("graph")
-    p.set_defaults(func=cmd_dima)
-
-    p = sub.add_parser("dime", help="edge metric dimension")
-    p.add_argument("graph")
-    p.set_defaults(func=cmd_dime)
-
-    p = sub.add_parser("classify", help="n-rho vs n-rho-1 class")
-    p.add_argument("graph")
-    p.set_defaults(func=cmd_classify)
+    graph_command("dima", cmd_dima, "adjacency dimension")
+    graph_command("dime", cmd_dime, "edge metric dimension")
+    graph_command("classify", cmd_classify, "n-rho vs n-rho-1 class")
 
     p = sub.add_parser("gen", help="write a named family graph")
     p.add_argument("family", choices=sorted(gmod.FAMILIES))
@@ -312,8 +296,6 @@ def build_parser():
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int)
     p.add_argument("--slow", action="store_true")
-    p.add_argument("--fast-brute", action="store_true",
-                   help="allow the sandwich shortcut inside the oracle")
     p.add_argument("--no-metric", action="store_true",
                    help="skip the adjacency/edge-metric comparison")
     p.set_defaults(func=cmd_verify)
@@ -324,7 +306,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.func(args)
+        report = _run(args)
     except (ValueError, OSError, packing.WitnessCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

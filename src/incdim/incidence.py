@@ -29,7 +29,7 @@ CLASS_EXACT = "CLASS_EXACT"           # dim_I = n - rho
 class DimResult:
     value: int
     basis: frozenset
-    method: str                 # "brute", "structural" or "formula"
+    method: str                 # "brute" or "structural"
     achieving_edge: tuple = None
 
 
@@ -98,9 +98,11 @@ def dim_I_structural(g):
     edge (edges scanned in ascending order).  k is rho + 1 at the first
     edge whose e-critical packing holds both endpoints and rho + 1
     vertices, and otherwise rho, achieved first by the smallest edge.
+    An edgeless graph has no edge pair to resolve, so its dimension is 0
+    with the empty basis, decided before rho is computed.
     """
     if g.m == 0:
-        raise ValueError("structural method requires an edge")
+        return DimResult(value=0, basis=frozenset(), method="structural")
     rho = g.max_packing.size
     for u, v in g.sorted_edges:
         forced = _with_endpoints(g, u, v, rho)
@@ -151,7 +153,7 @@ def classify(g):
     """Partition label: CLASS_MINUS_ONE when dim_I = n - rho - 1,
     CLASS_EXACT when dim_I = n - rho."""
     rho = g.max_packing.size
-    value = dim_I_structural(g).value if g.m else 0
+    value = dim_I_structural(g).value
     if value == g.n - rho - 1:
         return CLASS_MINUS_ONE
     if value == g.n - rho:

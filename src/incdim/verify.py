@@ -23,23 +23,22 @@ INVARIANTS = (
 )
 
 
-def _evaluate(g, full_brute, with_metric):
-    """Invariant results for one graph: {name: (ok, detail-or-None)}."""
+def _evaluate(g, with_metric):
+    """Invariant results for one graph: {name: (ok, detail-or-None)}.
+
+    The brute solver searches from size 0, so its value owes nothing to
+    rho or to the structural route it audits."""
     out = {}
     adj = g.adj_masks
     witness = g.max_packing.witness
     rho = len(witness)
-    brute = dim_I_brute(g, full_search=full_brute)
-    if g.m >= 1:
-        structural = dim_I_structural(g)
-        value = structural.value
-    else:
-        structural = None
-        value = brute.value
+    brute = dim_I_brute(g, full_search=True)
+    structural = dim_I_structural(g)
+    value = structural.value
 
-    ok = structural is None or brute.value == structural.value
+    ok = brute.value == value
     out["theorem_nk"] = (ok, None if ok else
-                         f"brute={brute.value} structural={structural.value}")
+                         f"brute={brute.value} structural={value}")
 
     ok = g.n - rho - 1 <= value <= g.n - rho
     out["corollary_sandwich"] = (ok, None if ok else
@@ -70,10 +69,8 @@ def _evaluate(g, full_brute, with_metric):
     if is_edge_triangular(g):
         if value != g.n - rho:
             ok, detail = False, f"edge-triangular but dim_I={value} != n-rho"
-        elif structural is not None:
-            comp = frozenset(range(g.n)) - structural.basis
-            if not is_packing(g, comp):
-                ok, detail = False, "basis complement is not a packing"
+        elif not is_packing(g, frozenset(range(g.n)) - structural.basis):
+            ok, detail = False, "basis complement is not a packing"
     else:
         bare = next((u, v) for u, v in g.sorted_edges
                     if not adj[u] & adj[v])
@@ -96,10 +93,8 @@ def _evaluate(g, full_brute, with_metric):
             if value < max(da.value, de.value):
                 ok, detail = False, (f"dim_I={value} < max(dim_A={da.value}, "
                                      f"dim_e={de.value})")
-            else:
-                basis = (structural or brute).basis
-                if not is_adjacency_generator(g, basis):
-                    ok, detail = False, "basis is not an adjacency generator"
+            elif not is_adjacency_generator(g, structural.basis):
+                ok, detail = False, "basis is not an adjacency generator"
     out["inc_adj_edge"] = (ok, detail)
 
     ok, detail = True, None
@@ -115,7 +110,7 @@ def _evaluate(g, full_brute, with_metric):
     return out
 
 
-def run_suite(graphs, full_brute=True, with_metric=True):
+def run_suite(graphs, with_metric=True):
     """Run every invariant over an iterable of graphs.
 
     Returns {invariant: {"checked": int, "failed": int,
@@ -124,7 +119,7 @@ def run_suite(graphs, full_brute=True, with_metric=True):
     report = {name: {"checked": 0, "failed": 0, "counterexample": None}
               for name in INVARIANTS}
     for g in graphs:
-        results = _evaluate(g, full_brute, with_metric)
+        results = _evaluate(g, with_metric)
         for name, (ok, detail) in results.items():
             entry = report[name]
             entry["checked"] += 1

@@ -50,11 +50,8 @@ class Record:
 def _analyze(g, full_brute, with_metric):
     brute = I.dim_I_brute(g, full_search=full_brute)
     pe_sizes = {e: I.e_critical_packing(g, e).size for e in g.sorted_edges}
-    if g.m:
-        structural = I.dim_I_structural(g)
-        dim_structural, basis = structural.value, structural.basis
-    else:
-        dim_structural, basis = brute.value, brute.basis
+    structural = I.dim_I_structural(g)
+    dim_structural, basis = structural.value, structural.basis
     adj = g.adj_masks
     has_isolated = not all(adj)
     has_k2 = any(adj[u].bit_count() == 1 and adj[v].bit_count() == 1

@@ -111,8 +111,74 @@ def test_back_to_back_calls_share_no_options(capsys, figure1_file):
                                      "brute", "--full-search"])
     assert code == 0 and report["results"]["method"] == "brute"
     code, report = run_json(capsys, ["dimi", figure1_file])
-    assert code == 0 and report["inputs"]["method"] == "auto"
+    assert code == 0 and report["inputs"]["method"] == "structural"
     assert report["results"]["method"] == "structural"
+
+
+# The six commands that read a graph, as (command, arguments after the
+# graph path); each is a valid request on the figure-1 graph.
+GRAPH_REQUESTS = [
+    ("dimi", []), ("dimi", ["--method", "structural"]),
+    ("dimi", ["--method", "brute"]),
+    ("dimi", ["--method", "brute", "--full-search"]),
+    ("rho", []), ("rho", ["--all"]), ("ecritical", ["0", "1"]),
+    ("dima", []), ("dime", []), ("classify", [])]
+
+
+@pytest.mark.parametrize("text", ["0 0\n", "1 0\n", "5 0\n", "2 1\n0 1\n"])
+def test_graph_commands_answer_small_and_edgeless_graphs(capsys, tmp_path,
+                                                         text):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    edgeless = text.split()[1] == "0"
+    for command, extra in GRAPH_REQUESTS:
+        code = main(["--json", command, str(path), *extra])
+        captured = capsys.readouterr()
+        assert code in (0, 2), (command, extra, captured.err)
+        if command == "dimi":
+            assert code == 0
+            if edgeless:
+                assert json.loads(captured.out)["results"]["value"] == 0
+
+
+@pytest.mark.parametrize("command, extra", GRAPH_REQUESTS)
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_graph_commands_report_size_and_time_last(capsys, monkeypatch,
+                                                  figure1_file, command,
+                                                  extra, source):
+    with open(figure1_file) as fh:
+        text = fh.read()
+    path = figure1_file if source == "file" else "-"
+    argv = [command, path, *extra]
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, report = run_json(capsys, argv)
+    assert code == 0 and report["inputs"]["graph"] == path
+    results = report["results"]
+    assert (results["n"], results["m"]) == (5, 4)
+    assert 0 <= results["wall_time_s"] < 10
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == f"  graph: {path}"
+    keys = [line.split(":")[0].strip() for line in lines[-3:]]
+    assert keys == ["n", "m", "wall_time_s"]
+
+
+def test_readme_cli_lines_parse():
+    # Every command in README's CLI block is one the parser accepts.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split("<", 1)[0].split()
+             for line in block.splitlines()]
+    lines = [words for words in lines if words]
+    assert len(lines) >= 10
+    parser = cli.build_parser()
+    for words in lines:
+        assert words[0] == "incdim"
+        parser.parse_args(words[1:])
 
 
 def test_rho_needs_no_recursion(capsys, tmp_path):

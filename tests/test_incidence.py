@@ -2,13 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incdim import (CLASS_EXACT, CLASS_MINUS_ONE, build_graph,
+from incdim import (CLASS_EXACT, CLASS_MINUS_ONE, DimResult, build_graph,
                     check_symdiff_condition, classify,
                     common_neighbor_characterization, dim_I_brute,
                     dim_I_formula, dim_I_structural, generate_family,
                     is_incidence_generator, is_packing, max_packing,
                     resolves)
+from incdim import packing
 from incdim.corpus import all_labeled_graphs, random_graphs
+from incdim.packing import _best
 
 from .conftest import (oracle_dim_I, oracle_dim_I_basis,
                        oracle_is_incidence_generator, small_graphs)
@@ -102,8 +104,6 @@ def test_dim_structural_examples():
 
 def test_dim_structural_basis_is_generator():
     for g in random_graphs(8, 40, seed=61):
-        if g.m == 0:
-            continue
         res = dim_I_structural(g)
         assert is_incidence_generator(g, res.basis)
         assert len(res.basis) == res.value
@@ -122,20 +122,30 @@ def test_dim_structural_basis_follows_first_edge_witness():
 @settings(max_examples=150, deadline=None)
 @given(small_graphs())
 def test_dim_structural_matches_oracle(g):
-    if g.m:
-        assert dim_I_structural(g).value == oracle_dim_I(g)
+    assert dim_I_structural(g).value == oracle_dim_I(g)
 
 
-def test_dim_structural_requires_edge():
-    with pytest.raises(ValueError, match="structural method requires"):
-        dim_I_structural(build_graph(3, []))
+def test_dim_structural_edgeless_is_zero(monkeypatch):
+    # No edge pair needs resolving, so the empty set is the basis; the
+    # answer comes before rho, which would read every vertex.
+    calls = []
+
+    def counting(g, drop, floor):
+        if not drop:
+            calls.append(g.n)
+        return _best(g, drop, floor)
+
+    monkeypatch.setattr(packing, "_best", counting)
+    for n in (0, 1, 5):
+        res = dim_I_structural(build_graph(n, []))
+        assert res == DimResult(value=0, basis=frozenset(),
+                                method="structural")
+    assert calls == []
 
 
 def test_theorem_nk_small_exhaustive():
     for n in (2, 3, 4, 5):
         for g in all_labeled_graphs(n):
-            if g.m == 0:
-                continue
             assert dim_I_brute(g, full_search=True).value == \
                 dim_I_structural(g).value
 
@@ -201,8 +211,6 @@ def test_common_neighbor_precondition():
 
 def test_at_most_one_uncovered_edge():
     for g in random_graphs(7, 40, seed=83):
-        if g.m == 0:
-            continue
         basis = dim_I_structural(g).basis
         uncovered = [e for e in g.edges if not (set(e) & basis)]
         assert len(uncovered) <= 1

@@ -201,8 +201,7 @@ def test_max_packing_is_computed_once_per_graph(monkeypatch):
         assert max_packing(g) is res
         classify(g)
         dim_I_brute(g)
-        if g.m:
-            dim_I_structural(g)
+        dim_I_structural(g)
         for e in g.sorted_edges:
             e_critical_packing(g, e)
         enum = max_packing(g, enumerate_all=True)
@@ -369,10 +368,9 @@ def test_trees_e_critical_and_dimension_match_oracle(g):
         res = e_critical_packing(g, e)
         assert res.size == oracle_e_critical_size(g, ge, e)
         assert res.witness == oracle_e_critical_witness(g, ge, e, res.size)
-    if g.m:
-        res = dim_I_structural(g)
-        assert res.value == oracle_dim_I(g)
-        assert is_incidence_generator(g, res.basis)
+    res = dim_I_structural(g)
+    assert res.value == oracle_dim_I(g)
+    assert is_incidence_generator(g, res.basis)
 
 
 def test_tree_rho_is_the_domination_number():
