@@ -7,9 +7,9 @@ wall time in seconds, load included.  `dimi` answers every graph,
 edgeless ones included, by the structural route unless `--method
 brute` is given.  Default output is aligned plain text; --json emits a
 machine-readable report on one line.  Exit status is 1 on a failed
-check, 2 on bad input or an exceeded witness cap (one `error:` line on
-stderr), and 3 on an unexpected internal error (one `error: internal:`
-line naming the exception, no traceback).
+check, 2 on bad input, an exceeded witness cap or exhausted memory
+(one `error:` line on stderr), and 3 on an unexpected internal error
+(one `error: internal:` line naming the exception, no traceback).
 
 The argument parser is built on the first `main` call and reused by
 every later call in the process; parsing keeps no state between calls.
@@ -309,6 +309,9 @@ def main(argv=None):
         report = _run(args)
     except (ValueError, OSError, packing.WitnessCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except Exception as exc:
         message = " ".join(str(exc).split())

@@ -20,19 +20,17 @@ restricted per-edge searches and hence the dimension cost only mask
 operations polynomial in n.
 
 Otherwise, and always for the enumeration of every maximum packing,
-the solver is a deterministic include-first branch and bound over
-vertices in ascending order.  Its bound is a greedy clique cover of
-the conflict graph (the colouring bound of MCQ/BBMC max-clique
-solvers, applied to the complement), built top down: each clique
-starts at the highest uncovered candidate.  A node that still needs k
-more vertices builds one cover of k - 1 cliques and keeps the highest
-candidate they leave over.  Every candidate above it lies in those
-cliques, so once the branch vertex passes it, no set in the rest of
-the node's exclude chain can reach k, and the whole chain is pruned.
-The cover is built only for a new candidate set (an include child) or
-when the incumbent has raised k; the exclude children inherit it.  The
-bound prunes only subtrees that cannot beat the incumbent, so it
-changes no witness and no enumeration order.
+one include-first walk over ascending vertices lists the conflict-free
+sets of a fixed size in lexicographic order.  Its bound is a top-down
+greedy clique cover of the conflict graph (the colouring bound of
+MCQ/BBMC, applied to the complement): a node that still needs k more
+vertices keeps the highest candidate left over by k - 1 cliques, and
+once the branch vertex passes it, the rest of the node's exclude chain
+cannot reach k.  The maximum is the first size, from the whole cover's
+clique count down to one above the greedy set, whose walk finds a set;
+on the 3-SAT reduction of a satisfiable formula the cover has rho
+cliques, so rho is proved at the root.  The bound prunes only subtrees
+holding no set of the size sought, so no witness or order changes.
 
 e-critical packings are decided on G's own conflict balls; G - e is
 never built.  For e = uv, a set larger than rho(G) must hold both u
@@ -49,6 +47,7 @@ dim_I_brute.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 from .graph import _graph_edge, _mask_to_set, _vertex_mask
 
@@ -83,17 +82,18 @@ def is_packing(g, p):
     return all(balls[v] & mask == 1 << v for v in _mask_to_set(mask))
 
 
-def _chain_top(balls, cands, limit):
-    """Highest candidate left over by a top-down greedy clique cover of
-    the conflict graph on cands with at most limit cliques, or -1.
+def _cover(balls, cands, limit):
+    """Top-down greedy clique cover of the conflict graph on cands with
+    at most limit cliques: (cliques used, candidates left over).
 
     Each clique starts at the highest uncovered candidate and grows with
     the highest candidate conflicting with all its members.  A clique
-    holds at most one vertex of any packing, so every subset of cands
-    above the returned vertex holds at most limit vertices of a packing.
+    holds at most one vertex of a packing, so every subset of cands
+    above the highest leftover holds at most limit packing vertices.
     """
-    while cands and limit > 0:
-        limit -= 1
+    used = 0
+    while cands and used < limit:
+        used += 1
         v = cands.bit_length() - 1
         cands ^= 1 << v
         grow = balls[v] & cands
@@ -103,63 +103,62 @@ def _chain_top(balls, cands, limit):
             cands ^= bit
             grow &= balls[v]
             grow ^= bit
-    return cands.bit_length() - 1
+    return used, cands
 
 
-def _search(balls, cands, floor, cap=None):
-    """Conflict-free subsets of cands with more than floor vertices.
-
-    balls[v] is the bitmask of v plus every vertex conflicting with v.
-    The search branches include-first on the lowest candidate, on an
-    explicit stack, so its depth is not bounded by the interpreter's
-    recursion limit.  Subsets are masks.  Without a cap it returns a
-    one-element list holding the lexicographically smallest subset of
-    maximum size, or [] when no subset beats floor (floor = -1 always
-    yields a set, possibly the empty one).  With a cap it returns every
-    subset of exactly floor + 1 vertices in lexicographic order, raising
-    WitnessCapExceeded once there are more than cap of them.
-
-    An exclude entry on the stack carries the chain bound of its
-    parent: top, from _chain_top on a superset of its candidates, and
-    the need it was computed for.  The bound is recomputed only when
-    need has risen since, and the chain ends once its branch vertex is
-    above top.  The chain's candidate sets are suffixes of the set top
-    was computed on, and the first cliques of a suffix's top-down cover
-    are those of the whole set, restricted.  So a recomputed top is
-    never higher, and an exclude entry with no candidate up to top is
-    never pushed (an empty one could not beat its include sibling).
-    """
-    need = floor + 1    # size a subset must reach to be reported
-    found = []
-    # at: the need that top was computed for, None on a new candidate set
-    stack = [(0, 0, cands, -1, None)]
+def _walk(balls, cands, need):
+    """Yield the conflict-free need-subsets of cands as masks, in
+    lexicographic order, branching include-first on the lowest
+    candidate on an explicit stack (no recursion limit).  balls[v] is v
+    plus every vertex conflicting with v.  An exclude entry inherits its
+    parent's chain bound top: need never changes, and its candidates are
+    a suffix of the set top was computed on."""
+    stack = [(0, 0, cands, None)]
     while stack:
-        cur, size, cands, top, at = stack.pop()
-        if cap is not None and size == need:
-            found.append(cur)
-            if len(found) > cap:
-                raise WitnessCapExceeded(
-                    f"witness cap exceeded: more than {cap} maximum packings")
-            continue
-        if cands == 0:
-            if size >= need:
-                found, need = [cur], size + 1
+        cur, size, cands, top = stack.pop()
+        if size == need:
+            yield cur
             continue
         limit = need - size - 1
         if cands.bit_count() <= limit:
             continue
-        if at != need:
-            top, at = _chain_top(balls, cands, limit), need
+        if top is None:
+            top = _cover(balls, cands, limit)[1].bit_length() - 1
         low = cands & -cands
         v = low.bit_length() - 1
         if v > top:
             continue
         rest = cands ^ low
         if rest & ((2 << top) - 1):     # else the chain ends here
-            stack.append((cur, size, rest, top, at))
+            stack.append((cur, size, rest, top))
         # Pushed last, the branch holding the lowest candidate runs first.
-        stack.append((cur | low, size + 1, cands & ~balls[v], -1, None))
-    return found
+        stack.append((cur | low, size + 1, cands & ~balls[v], None))
+
+
+def _search(balls, cands, floor, cap=None):
+    """Conflict-free subsets of cands with more than floor vertices:
+    [the lexicographically smallest of maximum size], or [] when none
+    beats floor (floor = -1 always yields one).  With a cap, every
+    subset of exactly floor + 1 vertices in lexicographic order, raising
+    WitnessCapExceeded once there are more than cap of them.  The
+    maximum is sought from the root cover's clique count down to one
+    above the greedy set, which is the walk's own first dive.
+    """
+    if cap is not None:
+        found = list(islice(_walk(balls, cands, floor + 1), cap + 1))
+        if len(found) > cap:
+            raise WitnessCapExceeded(
+                f"witness cap exceeded: more than {cap} maximum packings")
+        return found
+    cliques = _cover(balls, cands, cands.bit_count())[0]
+    if cliques <= floor:
+        return []
+    greedy = _greedy(balls, cands)
+    low = max(greedy.bit_count(), floor)
+    for need in range(cliques, low, -1):
+        for found in _walk(balls, cands, need):
+            return [found]
+    return [greedy] if low > floor else []
 
 
 def _greedy(balls, cands):
@@ -175,7 +174,7 @@ def _greedy(balls, cands):
 
 
 def _best(g, drop, floor):
-    """_search's max mode on the vertices beyond distance 2 of every
+    """_search without a cap on the vertices beyond distance 2 of every
     vertex of drop: [lexicographically smallest maximum packing mask]
     if it has more than floor vertices, else [].  Exact and without
     search when g has a conflict PEO."""
@@ -264,12 +263,7 @@ def e_critical_packing(g, e):
 
 
 def has_unique_max_packing(g):
-    """True iff g has exactly one maximum 2-packing.
-
-    The enumeration stops at the second maximum packing it finds.
-    """
-    try:
-        max_packing(g, enumerate_all=True, witness_cap=1)
-    except WitnessCapExceeded:
-        return False
-    return True
+    """True iff g has exactly one maximum 2-packing; the walk stops at
+    the second one it finds."""
+    walk = _walk(g.ball2_masks, (1 << g.n) - 1, g.max_packing.size)
+    return len(list(islice(walk, 2))) == 1

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -139,6 +140,33 @@ def test_graph_commands_answer_small_and_edgeless_graphs(capsys, tmp_path,
             assert code == 0
             if edgeless:
                 assert json.loads(captured.out)["results"]["value"] == 0
+
+
+HUGE_INPUTS = {"huge.g": "1000000000 0\n", "wide.g": "1000000 1\n0 1\n",
+               "huge.cnf": "p cnf 1000000000 0\n"}
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+@pytest.mark.parametrize("argv", [
+    [command, name, *extra] for name in ("huge.g", "wide.g")
+    for command, *extra in (["dimi"], ["rho"], ["ecritical", "0", "1"],
+                            ["dima"], ["dime"], ["classify"])]
+    + [["reduce", "huge.cnf", "-o", "out.g"]], ids=" ".join)
+def test_huge_declared_sizes_end_in_a_result_or_exit_2(tmp_path, argv):
+    # A declared size whose state does not fit in memory ends in one
+    # error line and exit 2, never an internal error.  The child caps
+    # its own address space, so the test never presses on the machine.
+    (tmp_path / argv[1]).write_text(HUGE_INPUTS[argv[1]])
+    src = os.path.dirname(os.path.dirname(incdim.__file__))
+    out = subprocess.run(
+        [sys.executable, "-m", "incdim.cli", *argv], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, preexec_fn=_cap_address_space, timeout=120)
+    assert out.returncode in (0, 2), out.stderr
+    assert len(out.stderr.splitlines()) <= 1
 
 
 @pytest.mark.parametrize("command, extra", GRAPH_REQUESTS)

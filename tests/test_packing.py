@@ -14,7 +14,7 @@ from incdim import (WitnessCapExceeded, build_graph, build_reduction,
 from incdim.corpus import all_labeled_graphs, random_graphs, random_tree
 from incdim.graph import _is_peo
 from incdim.incidence import is_incidence_generator
-from incdim.packing import _best, _chain_top, _mask_to_set, _search
+from incdim.packing import _best, _cover, _mask_to_set, _search
 
 from .conftest import (_oracle_distances, oracle_dim_I,
                        oracle_e_critical_size, oracle_e_critical_witness,
@@ -86,18 +86,21 @@ def test_witness_is_lexicographically_smallest():
 @settings(max_examples=150, deadline=None)
 @given(small_graphs().flatmap(
     lambda g: st.tuples(st.just(g), st.integers(0, (1 << g.n) - 1))))
-def test_chain_top_bounds_every_suffix(case):
-    # The candidates above the returned vertex lie in limit cliques, so
+def test_cover_bounds_every_suffix(case):
+    # The candidates above the highest leftover lie in limit cliques, so
     # every suffix of cands starting above it holds at most limit
-    # packing vertices.
+    # packing vertices; the whole cover's clique count bounds cands.
     g, cands = case
     suffix_best = [
         oracle_max_packings(g, within=_mask_to_set(cands >> v << v))[0]
         for v in range(g.n + 1)]
     for limit in range(g.n + 1):
-        top = _chain_top(g.ball2_masks, cands, limit)
-        assert top == -1 or cands >> top & 1
+        used, left = _cover(g.ball2_masks, cands, limit)
+        top = left.bit_length() - 1
+        assert used <= limit and left | cands == cands
         assert all(best <= limit for best in suffix_best[top + 1:])
+    used, left = _cover(g.ball2_masks, cands, g.n)
+    assert left == 0 and used >= suffix_best[0]
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -234,21 +235,26 @@ def random_3cnf(num_vars, num_clauses, seed):
     return CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
 
 
-# Seeded formulas near the satisfiability threshold, n = 252..666
-# vertices, with both outcomes among them.
+# Seeded formulas near the satisfiability threshold, n = 252..885
+# vertices, with both outcomes among them.  Other tests take the first
+# (6/24) entries, so larger rungs go at the end.
 SCALE_FORMULAS = [random_3cnf(num_vars, num_clauses, seed)
                   for num_vars, num_clauses, seeds in
-                  ((6, 24, 8), (7, 28, 8), (8, 34, 8), (15, 64, 3))
+                  ((6, 24, 8), (7, 28, 8), (8, 34, 8), (15, 64, 3),
+                   (20, 85, 3))
                   for seed in range(seeds)]
 
 
 def test_reduction_scale_packing_decides_sat():
     # A static clique-cover bound does not decide the 6/24 class within
-    # minutes.
+    # minutes.  Each 20/85 formula (n = 885) must decide within a second.
     outcomes = set()
     for f in SCALE_FORMULAS:
         g = build_reduction(f).graph
+        started = time.perf_counter()
         res = max_packing(g)
+        if f.num_vars == 20:
+            assert time.perf_counter() - started < 1.0
         sat = satisfying_assignment(f) is not None
         outcomes.add(sat)
         assert (res.size == 2 * f.num_vars + len(f.clauses)) == sat
