@@ -5,8 +5,9 @@ extract, verify.  The first six take a graph, read from a file or from
 stdin when the path is `-`, and end their results with n, m and the
 wall time in seconds, load included.  `dimi` answers every graph,
 edgeless ones included, by the structural route unless `--method
-brute` is given.  Default output is aligned plain text; --json emits a
-machine-readable report on one line.  Exit status is 1 on a failed
+brute` is given; `--full-search` without it is an error.  Default
+output is aligned plain text; --json emits a machine-readable report
+on one line.  Exit status is 1 on a failed
 check, 2 on bad input, an exceeded witness cap or exhausted memory
 (one `error:` line on stderr), and 3 on an unexpected internal error
 (one `error: internal:` line naming the exception, no traceback).
@@ -57,6 +58,8 @@ def _report(command, inputs, results, checks=()):
 
 def cmd_dimi(args, g):
     if args.method == "structural":
+        if args.full_search:
+            raise ValueError("--full-search needs --method brute")
         res = incidence.dim_I_structural(g)
     else:
         res = incidence.dim_I_brute(g, full_search=args.full_search)
@@ -250,7 +253,8 @@ def build_parser():
     p.add_argument("--method", default="structural",
                    choices=["brute", "structural"])
     p.add_argument("--full-search", action="store_true",
-                   help="brute search from size 0 (no sandwich shortcut)")
+                   help="brute search from size 0 (no sandwich shortcut); "
+                   "needs --method brute")
 
     p = sub.add_parser("dimi-formula", help="closed-formula dimension")
     p.add_argument("family", choices=["complete", "path", "cycle",

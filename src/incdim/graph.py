@@ -56,7 +56,7 @@ class Graph:
     """Simple undirected graph; construct through build_graph.
 
     Only n and the edge set are stored.  The adjacency masks, the
-    distance-2 balls, the conflict graph's elimination ordering, the
+    distance-2 balls, a forest's conflict elimination ordering, the
     sorted edge tuple and the maximum 2-packing are cached properties
     computed on first access, so the maximum packing is computed once
     per graph and shared by e_critical_packing, dim_I_structural,
@@ -69,46 +69,49 @@ class Graph:
     @cached_property
     def adj_masks(self):
         """Open neighborhoods as bitmasks."""
-        return tuple(_adjacency(self.n, self.edges))
+        masks = [0] * self.n
+        for u, v in self.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
 
     @cached_property
     def ball2_masks(self):
         """For each v: bitmask of v itself plus all u with d(u,v) <= 2,
         i.e. v | N(v) | N(N(v))."""
-        return tuple(_balls(self.edges, self.adj_masks))
+        adj = self.adj_masks
+        balls = [(1 << v) | nbrs for v, nbrs in enumerate(adj)]
+        for u, v in self.edges:
+            balls[u] |= adj[v]
+            balls[v] |= adj[u]
+        return tuple(balls)
 
     @cached_property
     def conflict_peo(self):
-        """A perfect elimination ordering of the conflict graph, as
-        (rank, balls): rank[v] is v's position and balls[i] the conflict
-        ball of the vertex at position i, as a mask of positions.  None
-        when no candidate order passes _is_peo.
+        """For a forest, a perfect elimination ordering of its conflict
+        graph as a tuple of vertex masks, each read in ascending label
+        order; None for every other graph.
 
-        The identity order comes first; it is a PEO whenever every
-        component has diameter at most 2.  A graph with m < n also tries
-        non-increasing BFS depth per component, which is a PEO of the
-        square of any forest: the later conflict neighbours of v are its
-        parent, its grandparent and its later siblings.
+        The masks are the BFS depth layers of every component, equal
+        depths merged, deepest first.  The later conflict neighbours of
+        v are its parent, its grandparent and its later siblings, which
+        conflict pairwise; vertices of different components never
+        conflict.  A graph is a forest iff m = n - components.
         """
-        balls = self.ball2_masks
-        if _is_peo(balls):
-            return range(self.n), balls
-        if self.m >= self.n:
+        if self.m >= self.n > 0:     # m > n - components: a cycle
             return None
-        rank, pos = [0] * self.n, 0
+        layers, comps = [], 0
         left = (1 << self.n) - 1
         while left:
-            layers = list(_layers(self, (left & -left).bit_length() - 1))
-            for layer in reversed(layers):
+            comps += 1
+            for depth, layer in enumerate(
+                    _layers(self, (left & -left).bit_length() - 1)):
                 left ^= layer
-                while layer:
-                    low = layer & -layer
-                    rank[low.bit_length() - 1] = pos
-                    pos += 1
-                    layer ^= low
-        edges = [(rank[u], rank[v]) for u, v in self.edges]
-        balls = _balls(edges, _adjacency(self.n, edges))
-        return (rank, balls) if _is_peo(balls) else None
+                if depth < len(layers):
+                    layers[depth] |= layer
+                else:
+                    layers.append(layer)
+        return tuple(reversed(layers)) if self.m + comps == self.n else None
 
     @cached_property
     def sorted_edges(self):
@@ -127,22 +130,6 @@ class Graph:
         return len(self.edges)
 
 
-def _adjacency(n, edges):
-    masks = [0] * n
-    for u, v in edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
-
-
-def _balls(edges, adj):
-    balls = [(1 << v) | nbrs for v, nbrs in enumerate(adj)]
-    for u, v in edges:
-        balls[u] |= adj[v]
-        balls[v] |= adj[u]
-    return balls
-
-
 def _layers(g, src):
     """Masks of the BFS layers of g from src: {src}, then the vertices
     at distance 1, 2, ... until no vertex is new."""
@@ -157,24 +144,6 @@ def _layers(g, src):
             frontier ^= low
         frontier = reach & ~seen
         seen |= frontier
-
-
-def _is_peo(balls):
-    """True iff the identity order is a perfect elimination ordering of
-    the graph whose closed neighbourhoods are the masks balls: the later
-    neighbours of every vertex are pairwise adjacent.
-
-    Each vertex is checked against its first later neighbour f only:
-    every other later neighbour must be adjacent to f.  That suffices
-    (Tarjan & Yannakakis, SIAM J. Comput. 1984): at the latest vertex
-    with two non-adjacent later neighbours x and y, both differ from f,
-    so both are later neighbours of f, which are pairwise adjacent.
-    """
-    for v, ball in enumerate(balls):
-        later = ball >> v + 1 << v + 1     # when 0, balls[-1] is harmless
-        if later & ~balls[(later & -later).bit_length() - 1]:
-            return False
-    return True
 
 
 def build_graph(n, edge_list):
@@ -348,15 +317,17 @@ def parse_edge_list(text):
     n, m = header
     if len(pairs) != m:
         raise ValueError(f"header declares {m} edges, found {len(pairs)}")
-    edges = []
+    edges = set()
     for u, v, lineno in pairs:
         try:
-            edges.append(_normalize_edge((u, v)))
+            edges.add(_normalize_edge((u, v)))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"line {lineno}: vertex out of range")
-    return build_graph(n, edges)
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    return Graph(n=n, edges=frozenset(edges))
 
 
 def format_edge_list(g, comments=()):

@@ -5,19 +5,22 @@ greater than 2, equivalently an independent set of the distance-2
 conflict graph.  Every route reports the lexicographically smallest
 maximum set, so witnesses do not depend on the route taken.
 
-When the graph has a verified perfect elimination ordering (PEO) of
-its conflict graph (Graph.conflict_peo), the maximum is decided
-exactly without search.  Every induced subgraph of a chordal graph is
-chordal with the restricted order as a PEO, and its earliest vertex is
+On a forest the maximum is decided exactly, without search.  A
+forest's conflict graph, its square, is chordal, and the BFS depth
+layers read deepest first (Graph.conflict_peo) are a perfect
+elimination ordering (PEO) of it.  Every induced subgraph of a chordal
+graph keeps the restricted order as a PEO, and its earliest vertex is
 simplicial, so some maximum independent set holds it: the greedy pass
 that takes the earliest candidate and drops its ball counts the
 independence number alpha of any candidate set (Gavril, SIAM J.
-Comput. 1972).  The witness is then built in one ascending pass: the
-lowest candidate v joins it iff 1 + alpha(cands minus ball(v)) still
-reaches the size sought, which needs no count when v is earliest in
-the PEO.  Trees have chordal squares, so on trees rho, the
-restricted per-edge searches and hence the dimension cost only mask
-operations polynomial in n.
+Comput. 1972).  The witness is then built in one ascending pass over
+the labels: the lowest candidate v joins it iff 1 + alpha(cands minus
+ball(v)) still reaches the size sought.  No count is needed when the
+candidates conflicting with v form a clique: a maximum set without v
+holds exactly one of them (with none, v could join it), and swapping
+v in for that one keeps a maximum, so the lexicographically first
+maximum holds v.  So on forests rho, the restricted per-edge searches
+and hence the dimension cost only mask operations polynomial in n.
 
 Otherwise, and always for the enumeration of every maximum packing,
 one include-first walk over ascending vertices lists the conflict-free
@@ -153,7 +156,7 @@ def _search(balls, cands, floor, cap=None):
     cliques = _cover(balls, cands, cands.bit_count())[0]
     if cliques <= floor:
         return []
-    greedy = _greedy(balls, cands)
+    greedy = _greedy(balls, cands, (cands,))
     low = max(greedy.bit_count(), floor)
     for need in range(cliques, low, -1):
         for found in _walk(balls, cands, need):
@@ -161,52 +164,59 @@ def _search(balls, cands, floor, cap=None):
     return [greedy] if low > floor else []
 
 
-def _greedy(balls, cands):
-    """The set the greedy pass takes from cands, always the earliest
-    candidate: a maximum conflict-free subset when the positions are a
-    PEO's."""
+def _greedy(balls, cands, order):
+    """The set the greedy pass takes from cands, reading the masks of
+    order in turn, each in ascending label order, and always taking the
+    earliest candidate left: a maximum conflict-free subset when that
+    order is a PEO of the conflict graph."""
     taken = 0
-    while cands:
-        low = cands & -cands
-        taken |= low
-        cands &= ~balls[low.bit_length() - 1]
+    for part in order:
+        part &= cands
+        while part:
+            low = part & -part
+            taken |= low
+            ball = balls[low.bit_length() - 1]
+            cands &= ~ball
+            part &= ~ball
     return taken
+
+
+def _is_clique(balls, mask):
+    """True iff the vertices of mask conflict pairwise."""
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if mask & ~balls[low.bit_length() - 1]:
+            return False
+        rest ^= low
+    return True
 
 
 def _best(g, drop, floor):
     """_search without a cap on the vertices beyond distance 2 of every
     vertex of drop: [lexicographically smallest maximum packing mask]
     if it has more than floor vertices, else [].  Exact and without
-    search when g has a conflict PEO."""
-    balls, peo = g.ball2_masks, g.conflict_peo
+    search when g is a forest."""
+    balls, order = g.ball2_masks, g.conflict_peo
     cands = (1 << g.n) - 1
     for x in drop:
         cands &= ~balls[x]
-    if peo is None:
+    if order is None:
         return _search(balls, cands, floor)
-    rank, pballs = peo
-    pcands = (1 << g.n) - 1
-    for x in drop:
-        pcands &= ~pballs[rank[x]]
-    need = _greedy(pballs, pcands).bit_count()
+    need = _greedy(balls, cands, order).bit_count()
     if need <= floor:
         return []
-    # cands and pcands hold the same vertices, by label and by PEO
-    # position.  Invariant: size + alpha(pcands) == need.
+    # Invariant: size + alpha(cands) == need.
     cur = size = 0
     while cands:
         low = cands & -cands
         v = low.bit_length() - 1
-        p = rank[v]
-        rest = pcands & ~pballs[p]
-        if (pcands & -pcands == 1 << p
-                or size + 1 + _greedy(pballs, rest).bit_count() == need):
-            cur, size = cur | low, size + 1
-            cands &= ~balls[v]
-            pcands = rest
+        rest = cands & ~balls[v]
+        if (_is_clique(balls, balls[v] & cands)
+                or size + 1 + _greedy(balls, rest, order).bit_count() == need):
+            cur, size, cands = cur | low, size + 1, rest
         else:
             cands ^= low
-            pcands ^= 1 << p
     return [cur]
 
 

@@ -60,6 +60,16 @@ def small_trees(max_n=12):
         st.permutations(range(n)))).map(build)
 
 
+def small_forests(max_n=12):
+    """Hypothesis strategy: small_trees with some of their edges
+    dropped."""
+    def drop(tree):
+        keep = (st.sets(st.sampled_from(tree.sorted_edges)) if tree.m
+                else st.just(set()))
+        return keep.map(lambda edges: build_graph(tree.n, edges))
+    return small_trees(max_n).flatmap(drop)
+
+
 # Tokens of both text parsers: DIMACS keywords, comment markers, signs,
 # a header-sized count and separators.
 PARSER_TOKENS = ("0", "1", "2", "3", "-1", "-2", "-", "+", "x", "#", "c",

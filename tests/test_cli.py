@@ -469,6 +469,16 @@ def test_verify_rejects_an_empty_corpus(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags", [[], ["--method", "structural"]])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_dimi_full_search_needs_brute(capsys, figure1_file, flags, as_json):
+    argv = ["--json"] * as_json + ["dimi", figure1_file, "--full-search"]
+    assert main(argv + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --full-search needs --method brute\n"
+
+
 @pytest.mark.parametrize("flags", [["--all"], []])
 def test_rho_rejects_negative_witness_cap(capsys, figure1_file, flags):
     assert main(["rho", figure1_file, "--witness-cap", "-1"] + flags) == 2

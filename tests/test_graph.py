@@ -187,6 +187,8 @@ def test_edge_list_comments_and_blanks():
     text = "# header comment\n\n3 2\n0 1  # inline\n\n1 2\n"
     g = parse_edge_list(text)
     assert g.n == 3 and g.m == 2
+    # A repeated edge, in either orientation, is stored once.
+    assert parse_edge_list("3 2\n1 0\n0 1\n").edges == {(0, 1)}
 
 
 def test_edge_list_errors_carry_line_numbers():
@@ -199,7 +201,9 @@ def test_edge_list_errors_carry_line_numbers():
     for text, message in [
             ("3 1\n0 1 2\n", "line 2: edge line must be 'u v'"),
             ("3 1\n2 2\n", "line 2: self-loop at vertex 2"),
-            ("3 1\n0 5\n", "line 2: vertex out of range")]:
+            ("3 1\n0 5\n", "line 2: vertex out of range"),
+            ("-1 0\n", "vertex count must be non-negative"),
+            ("-1 1\n0 1\n", "line 2: vertex out of range")]:
         with pytest.raises(ValueError, match=message):
             parse_edge_list(text)
 

@@ -12,14 +12,14 @@ from incdim import (WitnessCapExceeded, build_graph, build_reduction,
                     has_unique_max_packing, is_packing, max_packing,
                     neighbors, packing, remove_edge)
 from incdim.corpus import all_labeled_graphs, random_graphs, random_tree
-from incdim.graph import _is_peo
 from incdim.incidence import is_incidence_generator
 from incdim.packing import _best, _cover, _mask_to_set, _search
 
 from .conftest import (_oracle_distances, oracle_dim_I,
                        oracle_e_critical_size, oracle_e_critical_witness,
                        oracle_is_packing, oracle_is_peo, oracle_max_packings,
-                       oracle_tree_domination, small_graphs, small_trees)
+                       oracle_tree_domination, small_forests, small_graphs,
+                       small_trees)
 from .test_reduction import SCALE_FORMULAS
 
 
@@ -296,38 +296,25 @@ def test_search_needs_no_recursion():
 # the exact route on conflict graphs with a perfect elimination ordering
 
 @settings(max_examples=150, deadline=None)
-@given(small_graphs(), st.randoms(use_true_random=False))
-def test_is_peo_matches_oracle(g, rnd):
-    # The check is exact on any order: relabel g so the order under test
-    # is the identity.
-    perm = list(range(g.n))
-    rnd.shuffle(perm)
-    h = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-    assert _is_peo(h.ball2_masks) == oracle_is_peo(h, range(h.n))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(small_graphs(), small_trees()))
+@given(st.one_of(small_graphs(), small_forests()))
 def test_conflict_peo_is_verified(g):
-    # The order returned is a PEO by the oracle, and its balls are the
-    # conflict balls in PEO positions; None only when identity fails.
-    if g.conflict_peo is None:
-        assert not oracle_is_peo(g, range(g.n))
-        return
-    rank, pballs = g.conflict_peo
-    order = sorted(range(g.n), key=rank.__getitem__)
-    assert oracle_is_peo(g, order)
+    # The order is None exactly when g has a cycle, that is when m is
+    # not n minus the number of components; otherwise its masks, read in
+    # turn and each in ascending order, list every vertex once as a PEO.
     d = _oracle_distances(g)
-    assert [sorted(_mask_to_set(b)) for b in pballs] == [
-        sorted(rank[u] for u in range(g.n) if d[v][u] <= 2) for v in order]
+    comps = sum(all(d[v][u] == math.inf for u in range(v))
+                for v in range(g.n))
+    assert (g.conflict_peo is None) == (g.m != g.n - comps)
+    if g.conflict_peo is not None:
+        order = [v for part in g.conflict_peo
+                 for v in sorted(_mask_to_set(part))]
+        assert sorted(order) == list(range(g.n))
+        assert oracle_is_peo(g, order)
 
 
 @settings(max_examples=100, deadline=None)
-@given(small_trees(), st.data())
-def test_every_forest_has_a_conflict_peo(tree, data):
-    keep = data.draw(st.sets(st.sampled_from(tree.sorted_edges))
-                     if tree.m else st.just(set()), label="keep")
-    g = build_graph(tree.n, keep)
+@given(small_forests())
+def test_every_forest_has_a_conflict_peo(g):
     assert g.conflict_peo is not None
     assert max_packing(g).size == oracle_tree_domination(g)
 
@@ -338,19 +325,15 @@ def test_every_forest_has_a_conflict_peo(tree, data):
     build_reduction(SCALE_FORMULAS[0]).graph],
     ids=["C6", "C7", "C6+2K1", "6/24"])
 def test_conflict_peo_none(g):
-    # C6 + 2K1 has m < n, so the BFS order is tried and must fail too.
+    # C6 + 2K1 has m < n but a cycle: m = 6, n - components = 8 - 3.
     assert g.conflict_peo is None
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(small_graphs(), small_trees()), st.data())
-def test_exact_route_and_chain_bound_match_oracle(g, data):
+def _check_routes(g, drop):
     # Both routes on the same graph: _best takes the exact route when g
-    # has a conflict PEO, _search is the chain-bound search.  Each must
-    # give the oracle's lexicographically smallest maximum packing of the
-    # vertices beyond distance 2 of drop, at every floor.
-    drop = data.draw(st.sets(st.integers(0, g.n - 1), max_size=3),
-                     label="drop")
+    # is a forest, _search is the chain-bound search.  Each must give the
+    # oracle's lexicographically smallest maximum packing of the vertices
+    # beyond distance 2 of drop, at every floor.
     d = _oracle_distances(g)
     within = [v for v in range(g.n) if all(d[v][x] > 2 for x in drop)]
     cands = sum(1 << v for v in within)
@@ -361,6 +344,26 @@ def test_exact_route_and_chain_bound_match_oracle(g, data):
         assert [_mask_to_set(m) for m in _best(g, drop, floor)] == expected
         assert [_mask_to_set(m) for m in
                 _search(g.ball2_masks, cands, floor)] == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_graphs(), small_trees(), small_forests()), st.data())
+def test_exact_route_and_chain_bound_match_oracle(g, data):
+    drop = data.draw(st.sets(st.integers(0, g.n - 1), max_size=3),
+                     label="drop")
+    _check_routes(g, drop)
+
+
+@pytest.mark.parametrize("g", [
+    build_graph(11, [(0, 5), (2, 7), (4, 9)]), build_graph(9, []),
+    build_graph(9, [(4, v) for v in range(9) if v != 4])],
+    ids=["3K2+5K1", "9K1", "K1,8"])
+def test_exact_route_on_sparse_forests_matches_oracle(g):
+    # Forests whose lowest candidates are mostly simplicial, so the clique
+    # test decides nearly every step; drop each vertex in turn as well.
+    assert g.conflict_peo is not None
+    for drop in [()] + [(x,) for x in range(g.n)]:
+        _check_routes(g, drop)
 
 
 @settings(max_examples=60, deadline=None)
