@@ -92,11 +92,13 @@ class Graph:
         graph as a tuple of vertex masks, each read in ascending label
         order; None for every other graph.
 
-        The masks are the BFS depth layers of every component, equal
-        depths merged, deepest first.  The later conflict neighbours of
-        v are its parent, its grandparent and its later siblings, which
-        conflict pairwise; vertices of different components never
-        conflict.  A graph is a forest iff m = n - components.
+        The order is the BFS depth layers of every component, rooted at
+        its highest label, equal depths merged, deepest first: the later
+        conflict neighbours of v are its parent, its grandparent and its
+        later siblings, which conflict pairwise, and other components
+        never conflict.  A layer whose labels all exceed the mask before
+        it joins that mask, so a path labelled along itself is one mask.
+        A graph is a forest iff m = n - components.
         """
         if self.m >= self.n > 0:     # m > n - components: a cycle
             return None
@@ -105,13 +107,21 @@ class Graph:
         while left:
             comps += 1
             for depth, layer in enumerate(
-                    _layers(self, (left & -left).bit_length() - 1)):
+                    _layers(self, left.bit_length() - 1)):
                 left ^= layer
                 if depth < len(layers):
                     layers[depth] |= layer
                 else:
                     layers.append(layer)
-        return tuple(reversed(layers)) if self.m + comps == self.n else None
+        if self.m + comps != self.n:
+            return None
+        order = []
+        for layer in reversed(layers):
+            if order and order[-1] < layer & -layer:
+                order[-1] |= layer
+            else:
+                order.append(layer)
+        return tuple(order)
 
     @cached_property
     def sorted_edges(self):

@@ -15,12 +15,12 @@ that takes the earliest candidate and drops its ball counts the
 independence number alpha of any candidate set (Gavril, SIAM J.
 Comput. 1972).  The witness is then built in one ascending pass over
 the labels: the lowest candidate v joins it iff 1 + alpha(cands minus
-ball(v)) still reaches the size sought.  No count is needed when the
-candidates conflicting with v form a clique: a maximum set without v
-holds exactly one of them (with none, v could join it), and swapping
-v in for that one keeps a maximum, so the lexicographically first
-maximum holds v.  So on forests rho, the restricted per-edge searches
-and hence the dimension cost only mask operations polynomial in n.
+ball(v)) still reaches the size sought.  The pass carries a maximum
+set B of the candidates left, and needs no count when ball(v) holds
+one member w of B (it holds one at least, or v could join B): B - w
++ v is a maximum holding v, so the lexicographically first one holds
+v too.  So on forests rho, the restricted per-edge searches and hence
+the dimension cost only mask operations polynomial in n.
 
 Otherwise, and always for the enumeration of every maximum packing,
 one include-first walk over ascending vertices lists the conflict-free
@@ -175,21 +175,11 @@ def _greedy(balls, cands, order):
         while part:
             low = part & -part
             taken |= low
-            ball = balls[low.bit_length() - 1]
-            cands &= ~ball
-            part &= ~ball
+            cands &= ~balls[low.bit_length() - 1]
+            part &= cands
+        if not cands:
+            break
     return taken
-
-
-def _is_clique(balls, mask):
-    """True iff the vertices of mask conflict pairwise."""
-    rest = mask
-    while rest:
-        low = rest & -rest
-        if mask & ~balls[low.bit_length() - 1]:
-            return False
-        rest ^= low
-    return True
 
 
 def _best(g, drop, floor):
@@ -203,20 +193,26 @@ def _best(g, drop, floor):
         cands &= ~balls[x]
     if order is None:
         return _search(balls, cands, floor)
-    need = _greedy(balls, cands, order).bit_count()
+    best = _greedy(balls, cands, order)
+    need = best.bit_count()
     if need <= floor:
         return []
-    # Invariant: size + alpha(cands) == need.
+    # Invariant: best is a maximum conflict-free subset of cands and
+    # size + |best| == need.
     cur = size = 0
     while cands:
         low = cands & -cands
         v = low.bit_length() - 1
         rest = cands & ~balls[v]
-        if (_is_clique(balls, balls[v] & cands)
-                or size + 1 + _greedy(balls, rest, order).bit_count() == need):
-            cur, size, cands = cur | low, size + 1, rest
+        if (best & balls[v]).bit_count() == 1:
+            best &= rest
         else:
-            cands ^= low
+            alt = _greedy(balls, rest, order)
+            if size + 1 + alt.bit_count() < need:
+                cands ^= low
+                continue
+            best = alt
+        cur, size, cands = cur | low, size + 1, rest
     return [cur]
 
 
